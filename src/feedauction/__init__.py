@@ -14,7 +14,6 @@ from .core import CODE_VERSION as __version__
 from .core import (
     ConfigurationError,
     DimensionMismatchError,
-    Report,
     RngStream,
     RoundRecord,
     derive_seed,
@@ -34,7 +33,6 @@ __all__ = [
     "ExperimentConfig",
     "MechanismState",
     "NoiseModel",
-    "Report",
     "RngStream",
     "RoundRecord",
     "RunResult",

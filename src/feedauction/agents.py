@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, DimensionMismatchError, RngStream
+from .core import ConfigurationError, RngStream
 
 __all__ = [
     "NOISE_KINDS",
@@ -22,12 +22,8 @@ __all__ = [
     "AgentSpec",
     "NoiseModel",
     "Strategy",
-    "linear_mean",
-    "random_population",
     "report",
     "sample_simplex",
-    "sample_utility",
-    "toxicity_utility",
     "utility_from_uniform",
 ]
 
@@ -129,23 +125,6 @@ class AgentSpec:
             object.__setattr__(self, "theta", theta)
 
 
-def linear_mean(spec: AgentSpec, context: np.ndarray) -> float:
-    """True expected utility ``theta . w`` for one context."""
-    if spec.theta is None:
-        raise ConfigurationError("agent has no linear coefficients")
-    context = np.asarray(context, dtype=float)
-    if context.shape != spec.theta.shape:
-        raise DimensionMismatchError(
-            f"context has shape {context.shape}, theta has shape {spec.theta.shape}"
-        )
-    mean = float(spec.theta @ context)
-    if not -1e-9 <= mean <= 1.0 + 1e-9:
-        raise ConfigurationError(
-            f"expected utility {mean} outside [0, 1]; are contexts on the simplex?"
-        )
-    return min(1.0, max(0.0, mean))
-
-
 def utility_from_uniform(mean, uniform, noise: NoiseModel):
     """Map uniform draws on [0, 1) to realized utilities with the given mean.
 
@@ -163,12 +142,6 @@ def utility_from_uniform(mean, uniform, noise: NoiseModel):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def sample_utility(spec: AgentSpec, context: np.ndarray, stream: RngStream) -> float:
-    """Draw one realized utility for an agent at a context."""
-    mean = linear_mean(spec, context)
-    return utility_from_uniform(mean, stream.random(), spec.noise)
 
 
 def report(strategy: Strategy, utility: float, price: float, stream: RngStream | None = None) -> bool:
@@ -194,19 +167,6 @@ def report(strategy: Strategy, utility: float, price: float, stream: RngStream |
     return bool(stream.random() < strategy.param)
 
 
-def toxicity_utility(spec: AgentSpec, labels) -> float:
-    """Utility of showing a piece of content to a sensitivity-typed agent.
-
-    An agent loses one unit when the content carries its sensitive category;
-    the raw utility in {-1, 0} is shifted by +1 so it fits the [0, 1] range
-    the mechanism expects. Recover the raw scale as ``utility - 1``.
-    """
-    if spec.sensitivity_label is None:
-        raise ConfigurationError("agent has no sensitivity label")
-    raw = -1.0 if spec.sensitivity_label in labels else 0.0
-    return raw + 1.0
-
-
 def sample_simplex(stream: RngStream, shape: tuple[int, ...], dim: int) -> np.ndarray:
     """Uniform draws from the probability simplex, shaped ``shape + (dim,)``.
 
@@ -217,32 +177,3 @@ def sample_simplex(stream: RngStream, shape: tuple[int, ...], dim: int) -> np.nd
     uniforms = stream.random(tuple(shape) + (dim,))
     exponentials = -np.log(np.maximum(uniforms, 1e-300))
     return exponentials / exponentials.sum(axis=-1, keepdims=True)
-
-
-def random_population(
-    n_agents: int,
-    dim: int,
-    stream: RngStream,
-    *,
-    noise: NoiseModel = NoiseModel(),
-    deviant: tuple[int, Strategy] | None = None,
-) -> list[AgentSpec]:
-    """Draw a truthful population with ``theta`` uniform on [0, 1]^dim.
-
-    ``deviant`` swaps in a misreporting strategy for a single agent, the
-    usual setup for measuring what one strategic agent can gain.
-    """
-    if n_agents < 1:
-        raise ConfigurationError(f"n_agents must be >= 1, got {n_agents}")
-    thetas = stream.random((n_agents, dim))
-    specs = []
-    for i in range(n_agents):
-        strategy = Strategy()
-        if deviant is not None and deviant[0] == i:
-            strategy = deviant[1]
-        specs.append(AgentSpec(theta=thetas[i], noise=noise, strategy=strategy))
-    if deviant is not None and not 0 <= deviant[0] < n_agents:
-        raise ConfigurationError(
-            f"deviant index {deviant[0]} outside population of {n_agents}"
-        )
-    return specs

@@ -14,43 +14,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigurationError, RngStream, RoundRecord
-from .agents import AgentSpec, linear_mean
 from .mechanism import MechanismState, RoundOracle, run_round, second_price
 
 __all__ = [
-    "BASELINE_KINDS",
     "UniformState",
     "direct_regression_round",
     "oracle_round",
     "uniform_round",
 ]
 
-BASELINE_KINDS = ("oracle", "direct_regression", "uniform")
 
+def oracle_round(true_means: np.ndarray, oracle: RoundOracle, *, t: int = 1) -> RoundRecord:
+    """Second-price auction on the round's true expected utilities.
 
-def oracle_round(
-    specs: list[AgentSpec],
-    contexts: np.ndarray,
-    oracle: RoundOracle,
-    *,
-    t: int = 1,
-    true_means: np.ndarray | None = None,
-) -> RoundRecord:
-    """Second-price auction on true expected utilities.
-
-    ``true_means`` overrides the linear scores computed from ``specs``; pass
-    it for populations whose ground truth is not linear (dataset-driven
-    agents). A truthful report at the charged price is still collected so the
-    ledger schema matches the learned mechanisms.
+    A truthful report at the charged price is still collected so the ledger
+    schema matches the learned mechanisms.
     """
-    contexts = np.asarray(contexts, dtype=float)
-    if true_means is None:
-        true_means = np.array([linear_mean(spec, contexts[i]) for i, spec in enumerate(specs)])
     winner, price = second_price(true_means)
     answer = bool(oracle.compare(winner, price))
     return RoundRecord(
         t=t,
-        contexts=contexts,
         allocated_agent=winner,
         explored=False,
         comparison_price=price,
@@ -90,19 +73,17 @@ class UniformState:
             raise ConfigurationError(f"n_agents must be >= 1, got {self.n_agents}")
 
 
-def uniform_round(state: UniformState, contexts: np.ndarray, oracle: RoundOracle) -> RoundRecord:
+def uniform_round(state: UniformState, oracle: RoundOracle) -> RoundRecord:
     """Allocate uniformly at random for free; collect a report for parity.
 
     Equivalent to running the feedback mechanism with its exploration rate
     pinned to 1, minus the bookkeeping of value models nobody reads.
     """
-    contexts = np.asarray(contexts, dtype=float)
     winner = int(state.agent_stream.integers(state.n_agents))
     price = float(state.price_stream.random())
     answer = bool(oracle.compare(winner, price))
     record = RoundRecord(
         t=state.t,
-        contexts=contexts,
         allocated_agent=winner,
         explored=True,
         comparison_price=price,

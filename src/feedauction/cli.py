@@ -37,8 +37,9 @@ from .metrics import build_series, loglog_tail_slope
 __all__ = ["main", "write_histogram_csv", "write_regret_csv"]
 
 
-def _mean_stderr(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Row-wise mean and standard error across runs (axis 0 indexes runs).
+def _mean_stderr(values) -> tuple[np.ndarray, np.ndarray]:
+    # Mean and standard error across runs (axis 0 indexes runs).
+    stacked = np.asarray(values, dtype=float)
     mean = stacked.mean(axis=0)
     if stacked.shape[0] < 2:
         return mean, np.zeros_like(mean)
@@ -112,7 +113,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         path = out_dir / f"{config.mechanism}_seed{seed_index:03d}.jsonl"
         write_run(
             path,
-            run.records,
+            run,
             series,
             run_metadata(run),
             include_contexts=not args.skip_contexts,
@@ -127,26 +128,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"revenue_regret={finals_revenue[-1]:.3f} "
             f"explored={run.explored.mean():.4f} -> {path}"
         )
-    welfare_mean, _ = _mean_stderr(np.stack(welfare_curves))
-    revenue_mean, _ = _mean_stderr(np.stack(revenue_curves))
-    print(
-        f"final welfare regret: mean={np.mean(finals_welfare):.3f} "
-        f"stderr={_stderr(finals_welfare):.3f}"
-    )
-    print(
-        f"final revenue regret: mean={np.mean(finals_revenue):.3f} "
-        f"stderr={_stderr(finals_revenue):.3f}"
-    )
+    welfare_mean, _ = _mean_stderr(welfare_curves)
+    revenue_mean, _ = _mean_stderr(revenue_curves)
+    for label, finals in (("welfare", finals_welfare), ("revenue", finals_revenue)):
+        mean, stderr = _mean_stderr(finals)
+        print(f"final {label} regret: mean={mean:.3f} stderr={stderr:.3f}")
     print(f"tail slope welfare: {_slope_or_na(welfare_mean)}")
     print(f"tail slope revenue: {_slope_or_na(revenue_mean)}")
     print(f"worst final agent net utility: {min(min_net):.3f}")
     return 0
-
-
-def _stderr(values: Sequence[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / np.sqrt(len(values)))
 
 
 def _slope_or_na(curve: np.ndarray) -> str:
@@ -158,6 +148,11 @@ def _slope_or_na(curve: np.ndarray) -> str:
 
 def _cmd_paired_deviation(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    if config.mechanism not in ("feedback", "direct_regression"):
+        raise ConfigError(
+            f"paired-deviation needs a learning mechanism (feedback or direct_regression), "
+            f"not {config.mechanism!r}: its profit bound is built from the value estimates"
+        )
     examples = _load_examples_if_needed(config)
     pairs = paired_deviation_runs(config, args.agent, args.strategy, examples)
     from .metrics import estimation_error_trace, per_round_profit
@@ -174,12 +169,14 @@ def _cmd_paired_deviation(args: argparse.Namespace) -> int:
             f"last_quartile_per_round={quartile_means[-1]:+.6f}"
         )
     bound = 6.0 * float(np.mean(error_sums))
+    profit_mean, profit_stderr = _mean_stderr(profits)
+    quartile_mean, quartile_stderr = _mean_stderr(quartile_means)
     print(f"agent {args.agent} strategy {args.strategy}")
-    print(f"mean profit: {np.mean(profits):+.4f} stderr={_stderr(profits):.4f}")
+    print(f"mean profit: {profit_mean:+.4f} stderr={profit_stderr:.4f}")
     print(f"profit bound (6 x cumulative estimate error): {bound:.4f}")
     print(
-        f"last-quartile per-round profit: mean={np.mean(quartile_means):+.6f} "
-        f"stderr={_stderr(quartile_means):.6f}"
+        f"last-quartile per-round profit: mean={quartile_mean:+.6f} "
+        f"stderr={quartile_stderr:.6f}"
     )
     if args.out:
         with Path(args.out).open("w", newline="") as handle:
@@ -200,17 +197,30 @@ _COMPARABLE_EXEMPT = {
 }
 
 
+def _ledger_columns(
+    file_path: str,
+) -> tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray]:
+    # Config echo and the winner, welfare and revenue increment columns of
+    # one run file; its parsed rows are freed on return.
+    metadata, rows = read_run(file_path)
+    return (
+        metadata["config"],
+        np.array([row["allocated_agent"] for row in rows], dtype=int),
+        np.array([row["welfare_regret_increment"] for row in rows], dtype=float),
+        np.array([row["revenue_regret_increment"] for row in rows], dtype=float),
+    )
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    groups: dict[str, list[tuple[dict, list[dict]]]] = {}
+    groups: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]] = {}
     signatures = set()
     for file_path in args.files:
-        metadata, rows = read_run(file_path)
-        echo = metadata["config"]
+        echo, *columns = _ledger_columns(file_path)
         signature = tuple(
             (k, repr(v)) for k, v in sorted(echo.items()) if k not in _COMPARABLE_EXEMPT
         )
         signatures.add(signature)
-        groups.setdefault(echo["mechanism"], []).append((metadata, rows))
+        groups.setdefault(echo["mechanism"], []).append((*columns, echo["agents.count"]))
     if len(signatures) > 1 and not args.allow_mixed:
         raise ConfigError(
             "run files come from incompatible configs; pass --allow-mixed to force"
@@ -220,29 +230,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(f"{'mechanism':18s} {'runs':>4s} {'welfare_slope':>14s} {'revenue_slope':>14s}")
     for mechanism in sorted(groups):
         entries = groups[mechanism]
-        horizon = min(len(rows) for _, rows in entries)
-        welfare = np.stack(
-            [
-                np.cumsum([row["welfare_regret_increment"] for row in rows[:horizon]])
-                for _, rows in entries
-            ]
-        )
-        revenue = np.stack(
-            [
-                np.cumsum([row["revenue_regret_increment"] for row in rows[:horizon]])
-                for _, rows in entries
-            ]
-        )
-        losses = []
-        for _, rows in entries:
-            n_agents = len(rows[0]["net_utility"])
-            per_agent = np.zeros(n_agents)
-            for row in rows[:horizon]:
-                per_agent[row["allocated_agent"]] += row["welfare_regret_increment"]
-            losses.append(per_agent)
+        horizon = min(allocated.shape[0] for allocated, *_ in entries)
+        welfare = [np.cumsum(w[:horizon]) for _, w, _, _ in entries]
+        revenue = [np.cumsum(r[:horizon]) for _, _, r, _ in entries]
+        losses = [
+            np.bincount(a[:horizon], weights=w[:horizon], minlength=n)
+            for a, w, _, n in entries
+        ]
         welfare_mean, welfare_stderr = _mean_stderr(welfare)
         revenue_mean, revenue_stderr = _mean_stderr(revenue)
-        loss_mean, loss_stderr = _mean_stderr(np.stack(losses))
+        loss_mean, loss_stderr = _mean_stderr(losses)
         write_regret_csv(
             out_dir / f"regret_{mechanism}.csv",
             welfare_mean,

@@ -1,4 +1,4 @@
-"""Shared vocabulary for the simulator: seeded random substreams and round records.
+"""Shared vocabulary for the simulator: seeded random substreams and round decisions.
 
 Contexts are plain numpy arrays. A single agent's context is a vector of
 ``dim`` floats; a round's context block is an ``(n_agents, dim)`` matrix with
@@ -9,7 +9,6 @@ one row per agent. Functions that consume contexts validate shapes and raise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -17,7 +16,6 @@ __all__ = [
     "CODE_VERSION",
     "ConfigurationError",
     "DimensionMismatchError",
-    "Report",
     "RngStream",
     "RoundRecord",
     "derive_seed",
@@ -97,67 +95,16 @@ def derive_stream(master_seed: int, name: str) -> RngStream:
 
 
 @dataclass(frozen=True)
-class Report:
-    """A single binary comparison answer at a given comparison price."""
-
-    value: bool
-    comparison_price: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.comparison_price <= 1.0:
-            raise ConfigurationError(
-                f"comparison price {self.comparison_price} outside [0, 1]"
-            )
-
-
-@dataclass(frozen=True, eq=False)
 class RoundRecord:
-    """Full ledger entry for one auction round.
+    """What one auction round decided: winner, price, report and payment.
 
-    ``true_utility`` and ``oracle_second_price`` are ground-truth diagnostics
-    that only the simulation driver can know; mechanisms leave them ``None``
-    and the driver fills them in afterwards. No allocation or payment decision
-    may depend on them.
+    Ground truth (realized utilities, oracle prices) never passes through a
+    round; the driver keeps it in the run's columns.
     """
 
     t: int
-    contexts: np.ndarray | None
     allocated_agent: int
     explored: bool
     comparison_price: float
     report: bool
     payment: float
-    true_utility: float | None = None
-    oracle_second_price: float | None = None
-
-    def to_flat_dict(self) -> dict[str, Any]:
-        """Flat JSON-compatible mapping with native Python scalars."""
-        contexts = None if self.contexts is None else self.contexts.tolist()
-        return {
-            "t": int(self.t),
-            "contexts": contexts,
-            "allocated_agent": int(self.allocated_agent),
-            "explored": bool(self.explored),
-            "comparison_price": float(self.comparison_price),
-            "report": bool(self.report),
-            "payment": float(self.payment),
-            "true_utility": None if self.true_utility is None else float(self.true_utility),
-            "oracle_second_price": (
-                None if self.oracle_second_price is None else float(self.oracle_second_price)
-            ),
-        }
-
-    @classmethod
-    def from_flat_dict(cls, row: dict[str, Any]) -> "RoundRecord":
-        contexts = row["contexts"]
-        return cls(
-            t=int(row["t"]),
-            contexts=None if contexts is None else np.asarray(contexts, dtype=float),
-            allocated_agent=int(row["allocated_agent"]),
-            explored=bool(row["explored"]),
-            comparison_price=float(row["comparison_price"]),
-            report=bool(row["report"]),
-            payment=float(row["payment"]),
-            true_utility=row["true_utility"],
-            oracle_second_price=row["oracle_second_price"],
-        )

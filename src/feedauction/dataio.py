@@ -5,9 +5,9 @@ row ``id, f0..f{D-1}, toxic, severe_toxic, obscene, threat, insult,
 identity_hate``: one id column, D numeric feature columns, then the six
 binary label columns in that fixed order. Run ledgers are JSONL: the first
 line is a metadata object (config echo, seeds, code version, feature-scaling
-constants), each following line is one round's record joined with its metric
-increments. Keys are sorted and floats serialized with ``repr`` round-trip
-fidelity, so identical runs produce byte-identical files.
+constants), each following line is one round: its decisions, its ground
+truth and its metric increments. Keys are sorted and floats serialized with
+``repr`` round-trip fidelity, so identical runs produce byte-identical files.
 
 Dimensionality reduction is principal components via power iteration with
 deflation, which keeps the dependency surface small and the arithmetic easy
@@ -19,13 +19,13 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterable
 
 import numpy as np
 
-from .core import DimensionMismatchError, RoundRecord
-from .metrics import MetricsSeries
+from .core import DimensionMismatchError
 
 __all__ = [
     "CATEGORIES",
@@ -39,7 +39,6 @@ __all__ = [
     "pca_fit",
     "pca_transform",
     "read_run",
-    "rows_to_records",
     "write_examples",
     "write_run",
 ]
@@ -69,9 +68,6 @@ class LabeledExample:
     features: np.ndarray
     labels: tuple[int, ...]
 
-    def label_names(self) -> frozenset[str]:
-        return frozenset(name for name, flag in zip(CATEGORIES, self.labels) if flag)
-
 
 def load_examples(path: str | Path) -> list[LabeledExample]:
     """Read a labeled-example CSV, validating header, width, and value domains."""
@@ -100,6 +96,8 @@ def load_examples(path: str | Path) -> list[LabeledExample]:
                 raise ParseError(
                     f"{path}: line {line_no}: non-numeric feature value"
                 ) from None
+            if not np.isfinite(features).all():
+                raise ParseError(f"{path}: line {line_no}: non-finite feature value")
             labels = []
             for name, value in zip(CATEGORIES, row[1 + n_features :]):
                 if value not in ("0", "1"):
@@ -374,40 +372,55 @@ def _json_line(obj: Any) -> str:
 
 def write_run(
     path: str | Path,
-    records: list[RoundRecord],
-    series: MetricsSeries,
+    run,
+    series,
     metadata: dict[str, Any],
     *,
     include_contexts: bool = True,
 ) -> None:
     """Write one run as JSONL: a metadata line, then one line per round.
 
-    The metadata object is the caller's mapping plus the schema tag and
-    round count. ``include_contexts=False`` drops the per-round context
-    matrices (the bulkiest column) and notes that in the metadata. Output is
+    ``run`` is an :class:`~feedauction.experiment.RunResult` made with
+    ``keep_records=True`` and ``series`` its
+    :class:`~feedauction.metrics.MetricsSeries`. The metadata object is the
+    caller's mapping plus the schema tag and round count.
+    ``include_contexts=False`` drops the per-round context matrices (the
+    bulkiest column) and notes that in the metadata. Output is
     deterministic: identical inputs give byte-identical files.
     """
-    if len(records) != series.horizon:
-        raise ValueError(
-            f"{len(records)} records but metric series of length {series.horizon}"
-        )
+    n_rounds = len(run)
+    if n_rounds != series.horizon:
+        raise ValueError(f"{n_rounds} rounds but metric series of length {series.horizon}")
+    if run.oracle_second_prices is None:
+        raise ValueError("run was made with keep_records=False and has no ledger columns")
     head = dict(metadata)
     head["schema"] = RUN_SCHEMA
-    head["n_rounds"] = len(records)
+    head["n_rounds"] = n_rounds
     head["contexts_included"] = bool(include_contexts)
     errors = series.max_estimate_error
+    # Each column becomes native Python values in one call and rows zip
+    # them; contexts, the bulkiest, are converted one round at a time.
+    columns = {
+        "t": range(1, n_rounds + 1),
+        "contexts": (c.tolist() for c in run.contexts) if include_contexts else repeat(None),
+        "allocated_agent": run.allocated.tolist(),
+        "explored": run.explored.tolist(),
+        "comparison_price": run.comparison_prices.tolist(),
+        "report": run.reports.tolist(),
+        "payment": run.payments.tolist(),
+        "true_utility": run.utilities[np.arange(n_rounds), run.allocated].tolist(),
+        "oracle_second_price": run.oracle_second_prices.tolist(),
+        "eta": series.eta.tolist(),
+        "welfare_regret_increment": series.welfare_regret_increment.tolist(),
+        "revenue_regret_increment": series.revenue_regret_increment.tolist(),
+        "max_estimate_error": repeat(None) if errors is None else errors.tolist(),
+        "net_utility": series.net_utility.tolist(),
+    }
+    keys = tuple(columns)
     with Path(path).open("w", newline="\n") as handle:
         handle.write(_json_line(head))
-        for i, record in enumerate(records):
-            row = record.to_flat_dict()
-            if not include_contexts:
-                row["contexts"] = None
-            row["eta"] = float(series.eta[i])
-            row["welfare_regret_increment"] = float(series.welfare_regret_increment[i])
-            row["revenue_regret_increment"] = float(series.revenue_regret_increment[i])
-            row["max_estimate_error"] = None if errors is None else float(errors[i])
-            row["net_utility"] = [float(v) for v in series.net_utility[i]]
-            handle.write(_json_line(row))
+        for values in zip(*columns.values()):
+            handle.write(_json_line(dict(zip(keys, values))))
 
 
 def read_run(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
@@ -429,8 +442,3 @@ def read_run(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
             f"{path}: metadata says {metadata.get('n_rounds')} rounds, file has {len(rows)}"
         )
     return metadata, rows
-
-
-def rows_to_records(rows: list[dict[str, Any]]) -> list[RoundRecord]:
-    """Rebuild :class:`RoundRecord` objects from run-file rows."""
-    return [RoundRecord.from_flat_dict(row) for row in rows]

@@ -9,12 +9,12 @@ what makes paired deviation measurements low-variance.
 
 The driver is also the only component that touches ground truth. Mechanisms
 see agents through the report oracle alone; realized utilities and oracle
-prices are stamped onto the round records here, after each round returns.
+prices stay in the run's columns, next to each round's decisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -47,15 +47,21 @@ __all__ = [
 
 @dataclass
 class RunResult:
-    """Arrays and ledger entries from one completed run."""
+    """Per-round columns of one completed run; ``len()`` is its horizon.
+
+    ``contexts`` (the world's (rounds, agents, dim) array) and
+    ``oracle_second_prices`` are needed only by the ledger; they are ``None``
+    for runs made with ``keep_records=False``.
+    """
 
     config: ExperimentConfig
     seed_index: int
     run_seed: int
     agent_specs: list[AgentSpec]
-    records: list[RoundRecord] | None
+    contexts: np.ndarray | None
     true_means: np.ndarray
     utilities: np.ndarray
+    oracle_second_prices: np.ndarray | None
     estimates: np.ndarray | None
     allocated: np.ndarray
     payments: np.ndarray
@@ -65,6 +71,9 @@ class RunResult:
     eta: np.ndarray
     scaler_meta: dict[str, Any] | None
     final_models: list[dict[str, Any]] | None
+
+    def __len__(self) -> int:
+        return self.allocated.shape[0]
 
 
 class _PopulationOracle:
@@ -217,9 +226,8 @@ def run_single(
 
     ``examples`` may be the loaded corpus or an already-prepared
     :class:`PreparedDataset`; passing the latter avoids refitting the
-    embedding for every seed. ``keep_records`` can be switched off in bulk
-    sweeps to drop the per-round ledger objects (and with them the context
-    matrices), which the metric arrays do not need.
+    embedding for every seed. ``keep_records=False`` drops what only the
+    ledger needs, the contexts and the oracle prices; bulk sweeps use it.
     """
     config.validate()
     run_seed = derive_seed(config.master_seed, f"run/{seed_index}")
@@ -243,15 +251,12 @@ def run_single(
         specs,
         [derive_stream(run_seed, f"agents/report/{i}") for i in range(n_agents)],
     )
-    gamma = oracle_prices(true_means)
-    dim = contexts.shape[2]
-
+    oracle_second_prices = oracle_prices(true_means)
     allocated = np.empty(horizon, dtype=int)
     payments = np.empty(horizon)
     comparison_prices = np.empty(horizon)
     explored = np.empty(horizon, dtype=bool)
     reports = np.empty(horizon, dtype=bool)
-    records: list[RoundRecord] | None = [] if keep_records else None
     estimates: np.ndarray | None = None
     final_models: list[dict[str, Any]] | None = None
 
@@ -263,65 +268,67 @@ def run_single(
         floor_rounds=config.floor_rounds,
     )
 
-    if config.mechanism in ("feedback", "direct_regression"):
+    learned = config.mechanism in ("feedback", "direct_regression")
+    if learned:
         state = MechanismState.create(
             n_agents,
-            dim,
+            contexts.shape[2],
             schedule,
             run_seed,
             training_policy=config.training_policy,
             regression_target="report" if config.mechanism == "feedback" else "utility",
             price_distribution=config.price_distribution,
         )
-        play = run_round if config.mechanism == "feedback" else direct_regression_round
+        learned_round = run_round if config.mechanism == "feedback" else direct_regression_round
         estimates = np.empty((horizon, n_agents))
         eta = np.array([exploration_rate(schedule, t) for t in range(1, horizon + 1)])
-        for ti in range(horizon):
-            oracle.utilities_now = utilities[ti]
-            rec = play(state, contexts[ti], oracle)
+
+        def play(ti: int) -> RoundRecord:
+            record = learned_round(state, contexts[ti], oracle)
             estimates[ti] = state.last_estimates
-            _collect(
-                rec, ti, allocated, payments, comparison_prices, explored, reports,
-                records, utilities, gamma,
-            )
-        final_models = [
-            {"sample_count": m.sample_count, "coefficients": m.coefficients.tolist()}
-            for m in state.models
-        ]
+            return record
+
     elif config.mechanism == "uniform":
-        state = UniformState(
+        uniform_state = UniformState(
             n_agents=n_agents,
             agent_stream=derive_stream(run_seed, "mechanism/explore_agent"),
             price_stream=derive_stream(run_seed, "mechanism/comparison_price"),
         )
         eta = np.ones(horizon)
-        for ti in range(horizon):
-            oracle.utilities_now = utilities[ti]
-            rec = uniform_round(state, contexts[ti], oracle)
-            _collect(
-                rec, ti, allocated, payments, comparison_prices, explored, reports,
-                records, utilities, gamma,
-            )
+
+        def play(ti: int) -> RoundRecord:
+            return uniform_round(uniform_state, oracle)
+
     else:  # oracle
         eta = np.zeros(horizon)
-        for ti in range(horizon):
-            oracle.utilities_now = utilities[ti]
-            rec = oracle_round(
-                specs, contexts[ti], oracle, t=ti + 1, true_means=true_means[ti]
-            )
-            _collect(
-                rec, ti, allocated, payments, comparison_prices, explored, reports,
-                records, utilities, gamma,
-            )
+
+        def play(ti: int) -> RoundRecord:
+            return oracle_round(true_means[ti], oracle, t=ti + 1)
+
+    for ti in range(horizon):
+        oracle.utilities_now = utilities[ti]
+        record = play(ti)
+        allocated[ti] = record.allocated_agent
+        payments[ti] = record.payment
+        comparison_prices[ti] = record.comparison_price
+        explored[ti] = record.explored
+        reports[ti] = record.report
+    if learned:
+        final_models = [
+            {"sample_count": m.sample_count, "coefficients": m.coefficients.tolist()}
+            for m in state.models
+        ]
 
     return RunResult(
         config=config,
         seed_index=seed_index,
         run_seed=run_seed,
         agent_specs=specs,
-        records=records,
+        contexts=contexts if keep_records else None,
         true_means=true_means,
         utilities=utilities,
+        # A copy: the column is a view of the partitioned (rounds, agents) matrix.
+        oracle_second_prices=oracle_second_prices.copy() if keep_records else None,
         estimates=estimates,
         allocated=allocated,
         payments=payments,
@@ -332,33 +339,6 @@ def run_single(
         scaler_meta=scaler_meta,
         final_models=final_models,
     )
-
-
-def _collect(
-    rec: RoundRecord,
-    ti: int,
-    allocated: np.ndarray,
-    payments: np.ndarray,
-    comparison_prices: np.ndarray,
-    explored: np.ndarray,
-    reports: np.ndarray,
-    records: list[RoundRecord] | None,
-    utilities: np.ndarray,
-    gamma: np.ndarray,
-) -> None:
-    allocated[ti] = rec.allocated_agent
-    payments[ti] = rec.payment
-    comparison_prices[ti] = rec.comparison_price
-    explored[ti] = rec.explored
-    reports[ti] = rec.report
-    if records is not None:
-        records.append(
-            replace(
-                rec,
-                true_utility=float(utilities[ti, rec.allocated_agent]),
-                oracle_second_price=float(gamma[ti]),
-            )
-        )
 
 
 def _prepare_if_needed(

@@ -143,42 +143,6 @@ class ValueModel:
         score = float(self._coef @ context)
         return min(1.0, max(0.0, score))
 
-    def snapshot(self) -> tuple[np.ndarray, int]:
-        """Read-only style copy of (coefficients, sample count)."""
-        if self._stale:
-            self.fit()
-        return self._coef.copy(), self.sample_count
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dump of configuration and sufficient statistics."""
-        if self._stale:
-            self.fit()
-        return {
-            "dim": self.dim,
-            "ridge": self.ridge,
-            "prior_estimate": self.prior_estimate,
-            "min_samples": self.min_samples,
-            "sample_count": self.sample_count,
-            "gram": self.gram.tolist(),
-            "moment": self.moment.tolist(),
-            "coefficients": self._coef.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, state: dict) -> "ValueModel":
-        model = cls(
-            int(state["dim"]),
-            ridge=float(state["ridge"]),
-            prior_estimate=float(state["prior_estimate"]),
-            min_samples=int(state["min_samples"]),
-        )
-        model.sample_count = int(state["sample_count"])
-        model.gram = np.asarray(state["gram"], dtype=float)
-        model.moment = np.asarray(state["moment"], dtype=float)
-        model._coef = np.asarray(state["coefficients"], dtype=float)
-        model._stale = False
-        return model
-
 
 def estimate_mean_from_reports(samples: list[tuple[float, bool]]) -> float:
     """Estimate a mean utility from (comparison price, answer) pairs.

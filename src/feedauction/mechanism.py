@@ -141,6 +141,7 @@ class MechanismState:
     price_distribution: str = "uniform"
     t: int = 1
     last_estimates: np.ndarray | None = field(default=None, repr=False)
+    _fixed_price: float | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.training_policy not in TRAINING_POLICIES:
@@ -156,9 +157,10 @@ class MechanismState:
                 f"{len(self.models)} models for a schedule with "
                 f"{self.schedule.n_agents} agents"
             )
-        self._parse_price_distribution()
+        self._fixed_price = self._parse_price_distribution()
 
     def _parse_price_distribution(self) -> float | None:
+        # The fixed exploration price, or None for uniform prices.
         if self.price_distribution == "uniform":
             return None
         kind, _, arg = self.price_distribution.partition(":")
@@ -214,18 +216,16 @@ class MechanismState:
         return estimates
 
     def _draw_comparison_price(self) -> float:
-        fixed = self._parse_price_distribution()
-        if fixed is None:
+        if self._fixed_price is None:
             return float(self.price_stream.random())
-        return fixed
+        return self._fixed_price
 
 
 def run_round(state: MechanismState, contexts: np.ndarray, oracle: RoundOracle) -> RoundRecord:
     """Play one auction round, updating ``state`` in place.
 
     ``contexts`` is the (n_agents, dim) block of request features for this
-    round. Returns the round's ledger entry with the ground-truth fields left
-    ``None``; the caller fills those in if it knows them.
+    round. Returns the round's decisions; ground truth stays with the caller.
     """
     contexts = np.asarray(contexts, dtype=float)
     n_agents = len(state.models)
@@ -252,7 +252,6 @@ def run_round(state: MechanismState, contexts: np.ndarray, oracle: RoundOracle) 
         state.models[winner].ingest(contexts[winner], target)
     record = RoundRecord(
         t=state.t,
-        contexts=contexts,
         allocated_agent=winner,
         explored=explored,
         comparison_price=comparison,

@@ -16,14 +16,12 @@ import numpy as np
 __all__ = [
     "MetricsSeries",
     "build_series",
-    "cumulative_net_utility",
     "estimation_error_trace",
     "loglog_tail_slope",
     "per_agent_net_utility",
     "per_agent_welfare_loss",
     "per_round_profit",
     "revenue_regret",
-    "strategic_profit",
     "welfare_regret",
 ]
 
@@ -113,14 +111,6 @@ def per_agent_net_utility(
     return net
 
 
-def cumulative_net_utility(
-    true_means: np.ndarray, allocated: np.ndarray, payments: np.ndarray, agent: int
-) -> np.ndarray:
-    """Running net utility of one agent; final value >= 0 means participation paid off."""
-    net = per_agent_net_utility(true_means, allocated, payments)
-    return np.cumsum(net[:, agent])
-
-
 def per_agent_welfare_loss(true_means: np.ndarray, allocated: np.ndarray) -> np.ndarray:
     """Welfare-regret increments attributed to the agent that won each round.
 
@@ -134,7 +124,13 @@ def per_agent_welfare_loss(true_means: np.ndarray, allocated: np.ndarray) -> np.
     return losses
 
 
-def _paired_net(run_truthful, run_deviant, agent: int) -> tuple[np.ndarray, np.ndarray]:
+def per_round_profit(run_truthful, run_deviant, agent: int) -> np.ndarray:
+    """Per-round net-utility gain of the deviating agent over its truthful twin.
+
+    Both runs must come from the same config and master seed so that agents,
+    contexts, and realized utilities coincide; the only difference is the
+    deviator's reporting strategy.
+    """
     for name in ("horizon", "n_agents", "master_seed"):
         a = getattr(run_truthful.config, name)
         b = getattr(run_deviant.config, name)
@@ -153,23 +149,7 @@ def _paired_net(run_truthful, run_deviant, agent: int) -> tuple[np.ndarray, np.n
     deviant = per_agent_net_utility(
         run_deviant.true_means, run_deviant.allocated, run_deviant.payments
     )[:, agent]
-    return truthful, deviant
-
-
-def per_round_profit(run_truthful, run_deviant, agent: int) -> np.ndarray:
-    """Per-round net-utility gain of the deviating agent over its truthful twin.
-
-    Both runs must come from the same config and master seed so that agents,
-    contexts, and realized utilities coincide; the only difference is the
-    deviator's reporting strategy.
-    """
-    truthful, deviant = _paired_net(run_truthful, run_deviant, agent)
     return deviant - truthful
-
-
-def strategic_profit(run_truthful, run_deviant, agent: int) -> float:
-    """Total net-utility gain from deviating, under common random numbers."""
-    return float(per_round_profit(run_truthful, run_deviant, agent).sum())
 
 
 def loglog_tail_slope(cumulative: np.ndarray, tail_fraction: float = 0.5) -> float:

@@ -7,15 +7,13 @@ from feedauction.agents import (
     AgentSpec,
     NoiseModel,
     Strategy,
-    linear_mean,
-    random_population,
     report,
     sample_simplex,
-    sample_utility,
-    toxicity_utility,
     utility_from_uniform,
 )
-from feedauction.core import ConfigurationError, DimensionMismatchError, derive_stream
+from feedauction.config import ConfigError, ExperimentConfig
+from feedauction.core import ConfigurationError, derive_stream
+from feedauction.experiment import run_single
 
 
 class TestStrategy:
@@ -95,19 +93,12 @@ class TestAgentSpec:
             AgentSpec(theta=np.array([[0.5], [0.5]]))
 
     def test_linear_mean_is_the_dot_product(self):
-        spec = AgentSpec(theta=np.array([0.2, 0.8]))
-        assert linear_mean(spec, np.array([0.5, 0.5])) == pytest.approx(0.5)
-        assert linear_mean(spec, np.array([1.0, 0.0])) == pytest.approx(0.2)
-
-    def test_linear_mean_shape_check(self):
-        spec = AgentSpec(theta=np.array([0.2, 0.8]))
-        with pytest.raises(DimensionMismatchError):
-            linear_mean(spec, np.array([0.5, 0.25, 0.25]))
-
-    def test_linear_mean_rejects_off_simplex_blowups(self):
-        spec = AgentSpec(theta=np.array([1.0, 1.0]))
-        with pytest.raises(ConfigurationError):
-            linear_mean(spec, np.array([2.0, 1.0]))
+        run = run_single(ExperimentConfig(horizon=20, n_agents=3, dim=2, master_seed=4), 0)
+        thetas = np.stack([spec.theta for spec in run.agent_specs])
+        np.testing.assert_allclose(
+            run.true_means, (run.contexts * thetas).sum(axis=-1), rtol=1e-12
+        )
+        assert np.all(run.true_means >= 0.0) and np.all(run.true_means <= 1.0)
 
 
 class TestNoise:
@@ -153,33 +144,21 @@ class TestNoise:
             assert np.mean(draws) == pytest.approx(mean, abs=tolerance)
 
     def test_sample_utility_uses_the_agent_noise(self):
-        spec = AgentSpec(
-            theta=np.array([0.6, 0.6]), noise=NoiseModel(kind="truncated_uniform", width=0.1)
+        config = ExperimentConfig(
+            horizon=500, n_agents=4, dim=2, noise_kind="truncated_uniform",
+            noise_width=0.1, master_seed=5,
         )
-        stream = derive_stream(5, "world/utilities")
-        draws = np.array(
-            [sample_utility(spec, np.array([0.5, 0.5]), stream) for _ in range(2000)]
-        )
-        assert np.all(np.abs(draws - 0.6) <= 0.1 + 1e-12)
-        assert np.mean(draws) == pytest.approx(0.6, abs=0.01)
+        run = run_single(config, 0)
+        deviations = run.utilities - run.true_means
+        assert np.all(np.abs(deviations) <= 0.1 + 1e-12)
+        assert np.abs(deviations).max() > 0.05
+        assert np.mean(deviations) == pytest.approx(0.0, abs=0.01)
 
     def test_bad_noise_rejected(self):
         with pytest.raises(ConfigurationError):
             NoiseModel(kind="gaussian")
         with pytest.raises(ConfigurationError):
             NoiseModel(width=-0.1)
-
-
-class TestToxicityUtility:
-    def test_sensitive_content_costs_one_unit(self):
-        spec = AgentSpec(theta=None, sensitivity_label="threat")
-        assert toxicity_utility(spec, {"threat", "insult"}) == 0.0
-        assert toxicity_utility(spec, {"insult"}) == 1.0
-        assert toxicity_utility(spec, set()) == 1.0
-
-    def test_linear_agent_has_no_label(self):
-        with pytest.raises(ConfigurationError):
-            toxicity_utility(AgentSpec(theta=np.array([0.5])), {"threat"})
 
 
 class TestSampleSimplex:
@@ -208,8 +187,15 @@ class TestSampleSimplex:
 
 
 class TestRandomPopulation:
+    """The linear population a synthetic run draws: theta uniform on [0, 1]^dim."""
+
+    @staticmethod
+    def specs(**overrides):
+        config = ExperimentConfig(horizon=5, master_seed=1, **overrides)
+        return run_single(config, 0).agent_specs
+
     def test_shapes_and_defaults(self):
-        specs = random_population(5, 3, derive_stream(1, "population/theta"))
+        specs = self.specs(n_agents=5, dim=3)
         assert len(specs) == 5
         for spec in specs:
             assert spec.theta.shape == (3,)
@@ -217,25 +203,20 @@ class TestRandomPopulation:
             assert spec.strategy == Strategy()
 
     def test_deviant_gets_the_strategy(self):
-        deviant = Strategy(kind="always_high")
-        specs = random_population(
-            4, 2, derive_stream(1, "population/theta"), deviant=(2, deviant)
+        specs = self.specs(
+            n_agents=4, dim=2, deviant_index=2, deviant_strategy="always_high"
         )
-        assert specs[2].strategy == deviant
+        assert specs[2].strategy == Strategy(kind="always_high")
         assert all(specs[i].strategy == Strategy() for i in (0, 1, 3))
 
     def test_deviant_does_not_change_thetas(self):
-        truthful = random_population(4, 2, derive_stream(9, "population/theta"))
-        deviating = random_population(
-            4, 2, derive_stream(9, "population/theta"),
-            deviant=(1, Strategy(kind="always_low")),
+        truthful = self.specs(n_agents=4, dim=2)
+        deviating = self.specs(
+            n_agents=4, dim=2, deviant_index=1, deviant_strategy="always_low"
         )
         for a, b in zip(truthful, deviating):
             np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_deviant_index_validated(self):
-        with pytest.raises(ConfigurationError):
-            random_population(
-                3, 2, derive_stream(1, "population/theta"),
-                deviant=(5, Strategy(kind="always_high")),
-            )
+        with pytest.raises(ConfigError):
+            self.specs(n_agents=3, dim=2, deviant_index=5, deviant_strategy="always_high")

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from feedauction.agents import AgentSpec
 from feedauction.baselines import (
     UniformState,
     direct_regression_round,
@@ -32,36 +31,26 @@ class CountingOracle:
 
 class TestOracleRound:
     def test_allocates_on_true_means(self):
-        specs = [
-            AgentSpec(theta=np.array([0.9, 0.1])),
-            AgentSpec(theta=np.array([0.2, 0.6])),
-        ]
-        contexts = np.array([[1.0, 0.0], [1.0, 0.0]])
-        record = oracle_round(specs, contexts, CountingOracle([0.9, 0.2]))
+        record = oracle_round(np.array([0.9, 0.2]), CountingOracle([0.9, 0.2]))
         assert record.allocated_agent == 0
         assert record.payment == pytest.approx(0.2)  # the runner-up's true mean
         assert not record.explored
 
     def test_true_means_override(self):
-        specs = [AgentSpec(theta=None, sensitivity_label="toxic") for _ in range(3)]
-        contexts = np.full((3, 2), 0.5)
-        record = oracle_round(
-            specs, contexts, CountingOracle([0.0, 1.0, 1.0]),
-            true_means=np.array([0.0, 1.0, 1.0]),
-        )
+        # Dataset agents have 0/1 expected utilities; the means alone decide,
+        # and a tie at the top goes to the lowest index at the tied price.
+        record = oracle_round(np.array([0.0, 1.0, 1.0]), CountingOracle([0.0, 1.0, 1.0]))
         assert record.allocated_agent == 1
         assert record.payment == 1.0
 
     def test_zero_welfare_regret_by_construction(self):
-        stream = derive_stream(17, "population/theta")
-        thetas = stream.random((4, 3))
-        specs = [AgentSpec(theta=t) for t in thetas]
+        thetas = derive_stream(17, "population/theta").random((4, 3))
         context_stream = derive_stream(17, "world/contexts")
         for _ in range(50):
             raw = context_stream.random((4, 3))
             contexts = raw / raw.sum(axis=1, keepdims=True)
             means = np.einsum("ij,ij->i", thetas, contexts)
-            record = oracle_round(specs, contexts, CountingOracle(means))
+            record = oracle_round(means, CountingOracle(means))
             assert means[record.allocated_agent] == means.max()
 
 
@@ -106,7 +95,7 @@ class TestUniformRound:
         )
         seen = set()
         for t in range(1, 301):
-            record = uniform_round(state, np.full((3, 2), 0.5), CountingOracle([0.5] * 3))
+            record = uniform_round(state, CountingOracle([0.5] * 3))
             assert record.t == t
             assert record.payment == 0.0
             assert record.explored
@@ -132,7 +121,7 @@ class TestUniformRound:
 
         for _ in range(200):
             a = run_round(mech, contexts, oracle)
-            b = uniform_round(uni, contexts, oracle)
+            b = uniform_round(uni, oracle)
             assert (a.allocated_agent, a.comparison_price, a.report) == (
                 b.allocated_agent,
                 b.comparison_price,
@@ -171,10 +160,8 @@ class TestBaselineBehaviorOnRuns:
             dr = run_single(
                 ExperimentConfig(mechanism="direct_regression", **base), seed_index
             )
-            assert [r.allocated_agent for r in fb.records] == [
-                r.allocated_agent for r in dr.records
-            ]
-            assert [r.payment for r in fb.records] == [r.payment for r in dr.records]
+            np.testing.assert_array_equal(fb.allocated, dr.allocated)
+            np.testing.assert_array_equal(fb.payments, dr.payments)
 
     def test_feedback_regret_within_twice_direct_regression(self):
         # Training on binary reports instead of exact utilities costs some
@@ -206,13 +193,7 @@ class TestBaselineBehaviorOnRuns:
         )
         fb = run_single(ExperimentConfig(mechanism="feedback", **base), 0)
         dr = run_single(ExperimentConfig(mechanism="direct_regression", **base), 0)
-        explored = [r.explored for r in fb.records]
-        assert explored == [r.explored for r in dr.records]
-        same = [
-            a.allocated_agent == b.allocated_agent
-            for a, b in zip(fb.records, dr.records)
-        ]
-        explore_matches = [s for s, e in zip(same, explored) if e]
-        exploit_matches = [s for s, e in zip(same, explored) if not e]
-        assert all(explore_matches)
-        assert 0.4 < np.mean(exploit_matches) < 1.0
+        np.testing.assert_array_equal(fb.explored, dr.explored)
+        same = fb.allocated == dr.allocated
+        assert np.all(same[fb.explored])
+        assert 0.4 < np.mean(same[~fb.explored]) < 1.0

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from feedauction import cli
 from feedauction.cli import main
 from feedauction.dataio import load_examples, read_run
 
@@ -151,6 +152,23 @@ class TestPairedDeviationCommand:
             ["paired-deviation", "--config", config, "--agent", "0", "--strategy", "bluff"]
         ) == 2
         assert capsys.readouterr().err.startswith("error [config]")
+
+    @pytest.mark.parametrize("mechanism", ["uniform", "oracle"])
+    def test_mechanism_without_estimates_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, mechanism
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a seed ran before the config was rejected")
+
+        monkeypatch.setattr(cli, "paired_deviation_runs", no_runs)
+        config = small_config(tmp_path, tmp_path / "runs", mechanism=mechanism)
+        assert main(
+            ["paired-deviation", "--config", config, "--agent", "0", "--strategy", "always_high"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error [config]")
+        assert mechanism in captured.err
+        assert captured.out == ""
 
 
 class TestReportCommand:

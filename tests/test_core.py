@@ -1,15 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from feedauction.core import (
-    ConfigurationError,
-    Report,
-    RoundRecord,
-    derive_seed,
-    derive_stream,
-)
+from feedauction.core import derive_seed, derive_stream
 
 
 def test_same_seed_and_name_reproduce_the_sequence():
@@ -47,65 +39,3 @@ def test_integers_respect_upper_bound():
     draws = derive_stream(7, "winners").integers(3, size=1000)
     assert draws.min() >= 0 and draws.max() <= 2
     assert set(np.unique(draws)) == {0, 1, 2}
-
-
-def test_report_validates_price_range():
-    Report(value=True, comparison_price=0.0)
-    Report(value=False, comparison_price=1.0)
-    with pytest.raises(ConfigurationError):
-        Report(value=True, comparison_price=1.5)
-    with pytest.raises(ConfigurationError):
-        Report(value=True, comparison_price=-0.1)
-
-
-class TestRoundRecord:
-    def make(self):
-        return RoundRecord(
-            t=17,
-            contexts=np.array([[0.25, 0.75], [0.5, 0.5]]),
-            allocated_agent=1,
-            explored=False,
-            comparison_price=0.4375,
-            report=True,
-            payment=0.4375,
-            true_utility=0.625,
-            oracle_second_price=0.5,
-        )
-
-    def test_flat_dict_round_trip(self):
-        record = self.make()
-        rebuilt = RoundRecord.from_flat_dict(record.to_flat_dict())
-        assert rebuilt.to_flat_dict() == record.to_flat_dict()
-        assert np.array_equal(rebuilt.contexts, record.contexts)
-
-    def test_flat_dict_survives_json(self):
-        record = self.make()
-        rebuilt = RoundRecord.from_flat_dict(json.loads(json.dumps(record.to_flat_dict())))
-        assert rebuilt.to_flat_dict() == record.to_flat_dict()
-
-    def test_ground_truth_fields_default_to_none(self):
-        record = RoundRecord(
-            t=1,
-            contexts=np.array([[1.0]]),
-            allocated_agent=0,
-            explored=True,
-            comparison_price=0.5,
-            report=False,
-            payment=0.0,
-        )
-        assert record.true_utility is None
-        assert record.oracle_second_price is None
-        rebuilt = RoundRecord.from_flat_dict(record.to_flat_dict())
-        assert rebuilt.true_utility is None
-
-    def test_contexts_may_be_omitted(self):
-        row = self.make().to_flat_dict()
-        row["contexts"] = None
-        assert RoundRecord.from_flat_dict(row).contexts is None
-
-    def test_flat_dict_uses_native_types(self):
-        row = self.make().to_flat_dict()
-        assert isinstance(row["t"], int)
-        assert isinstance(row["explored"], bool)
-        assert isinstance(row["payment"], float)
-        assert isinstance(row["contexts"], list)

@@ -4,9 +4,7 @@ import pytest
 from feedauction.config import ExperimentConfig
 from feedauction.dataio import (
     CATEGORIES,
-    ConvergenceError,
     FeatureScaler,
-    LabeledExample,
     ParseError,
     PcaModel,
     generate_synthetic_dataset,
@@ -14,7 +12,6 @@ from feedauction.dataio import (
     pca_fit,
     pca_transform,
     read_run,
-    rows_to_records,
     write_examples,
     write_run,
 )
@@ -43,8 +40,7 @@ class TestLoadExamples:
         assert examples[0].example_id == "a"
         np.testing.assert_allclose(examples[0].features, [0.5, -1.25])
         assert examples[0].labels == (1, 0, 0, 0, 1, 0)
-        assert examples[0].label_names() == {"toxic", "insult"}
-        assert examples[1].label_names() == frozenset()
+        assert examples[1].labels == (0, 0, 0, 0, 0, 0)
 
         out = tmp_path / "copy.csv"
         write_examples(out, examples)
@@ -77,6 +73,12 @@ class TestLoadExamples:
         bad = GOOD_CSV.replace("-1.25", "n/a")
         with pytest.raises(ParseError, match="line 2.*non-numeric"):
             load_examples(write_csv(tmp_path / "nan.csv", bad))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_names_its_line(self, tmp_path, value):
+        bad = GOOD_CSV.replace("2.0,3.5", f"2.0,{value}")
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            load_examples(write_csv(tmp_path / "inf.csv", bad))
 
     def test_non_binary_label(self, tmp_path):
         bad = GOOD_CSV.replace("a,0.5,-1.25,1", "a,0.5,-1.25,2")
@@ -248,7 +250,7 @@ class TestRunFiles:
     def test_round_trip(self, tmp_path):
         run, series = self.make_run()
         path = tmp_path / "run.jsonl"
-        write_run(path, run.records, series, run_metadata(run))
+        write_run(path, run, series, run_metadata(run))
         metadata, rows = read_run(path)
         assert metadata["schema"] == "feedauction.run.v1"
         assert metadata["n_rounds"] == 120
@@ -256,18 +258,22 @@ class TestRunFiles:
         assert metadata["identification_uniform_prices"] is True
         assert len(rows) == 120
 
-        records = rows_to_records(rows)
-        for original, restored in zip(run.records, records):
-            assert original.t == restored.t
-            assert original.allocated_agent == restored.allocated_agent
-            assert original.payment == restored.payment
-            assert original.true_utility == restored.true_utility
-            np.testing.assert_array_equal(original.contexts, restored.contexts)
+        for ti, row in enumerate(rows):
+            winner = run.allocated[ti]
+            assert row["t"] == ti + 1
+            assert row["allocated_agent"] == winner
+            assert row["explored"] == run.explored[ti]
+            assert row["comparison_price"] == run.comparison_prices[ti]
+            assert row["report"] == run.reports[ti]
+            assert row["payment"] == run.payments[ti]
+            assert row["true_utility"] == run.utilities[ti, winner]
+            assert row["oracle_second_price"] == sorted(run.true_means[ti])[-2]
+            np.testing.assert_array_equal(row["contexts"], run.contexts[ti])
 
     def test_rows_carry_metric_columns(self, tmp_path):
         run, series = self.make_run()
         path = tmp_path / "run.jsonl"
-        write_run(path, run.records, series, run_metadata(run))
+        write_run(path, run, series, run_metadata(run))
         _, rows = read_run(path)
         for i, row in enumerate(rows):
             assert row["eta"] == series.eta[i]
@@ -278,28 +284,37 @@ class TestRunFiles:
     def test_byte_identical_rewrites(self, tmp_path):
         run, series = self.make_run()
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_run(first, run.records, series, run_metadata(run))
-        write_run(second, run.records, series, run_metadata(run))
+        write_run(first, run, series, run_metadata(run))
+        write_run(second, run, series, run_metadata(run))
         assert first.read_bytes() == second.read_bytes()
 
         rerun = run_single(run.config, 0)
         third = tmp_path / "c.jsonl"
-        write_run(third, rerun.records, build_series(rerun), run_metadata(rerun))
+        write_run(third, rerun, build_series(rerun), run_metadata(rerun))
         assert first.read_bytes() == third.read_bytes()
 
     def test_contexts_can_be_dropped(self, tmp_path):
         run, series = self.make_run()
         path = tmp_path / "slim.jsonl"
-        write_run(path, run.records, series, run_metadata(run), include_contexts=False)
+        write_run(path, run, series, run_metadata(run), include_contexts=False)
         metadata, rows = read_run(path)
         assert metadata["contexts_included"] is False
         assert all(row["contexts"] is None for row in rows)
-        assert rows_to_records(rows)[0].contexts is None
+
+    def test_runs_without_records_are_refused(self, tmp_path):
+        lean = run_single(self.make_run()[0].config, 0, keep_records=False)
+        for include_contexts in (True, False):
+            with pytest.raises(ValueError, match="keep_records"):
+                write_run(
+                    tmp_path / "x.jsonl", lean, build_series(lean), {},
+                    include_contexts=include_contexts,
+                )
 
     def test_length_mismatch_rejected(self, tmp_path):
-        run, series = self.make_run()
-        with pytest.raises(ValueError):
-            write_run(tmp_path / "x.jsonl", run.records[:-1], series, {})
+        run, _ = self.make_run()
+        shorter = run_single(run.config.replace(horizon=119), 0)
+        with pytest.raises(ValueError, match="119"):
+            write_run(tmp_path / "x.jsonl", run, build_series(shorter), {})
 
     def test_read_rejects_foreign_files(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

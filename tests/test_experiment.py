@@ -71,28 +71,28 @@ class TestRunShapes:
         config = small_config()
         run = run_single(config, 0)
         horizon = config.horizon
+        assert len(run) == horizon
         assert run.allocated.shape == (horizon,)
         assert run.payments.shape == (horizon,)
         assert run.explored.shape == (horizon,)
         assert run.eta.shape == (horizon,)
         assert run.estimates.shape == (horizon, config.n_agents)
-        assert len(run.records) == horizon
-        for ti, record in enumerate(run.records):
-            assert record.t == ti + 1
-            assert record.true_utility == pytest.approx(
-                run.utilities[ti, record.allocated_agent]
-            )
-            assert record.oracle_second_price == pytest.approx(
-                sorted(run.true_means[ti])[-2]
-            )
+        assert run.contexts.shape == (horizon, config.n_agents, config.dim)
+        np.testing.assert_array_equal(
+            run.oracle_second_prices, np.sort(run.true_means, axis=1)[:, -2]
+        )
         assert len(run.final_models) == config.n_agents
         trained = sum(m["sample_count"] for m in run.final_models)
         assert trained == run.explored.sum()
 
     def test_keep_records_false_drops_only_the_ledger(self):
+        kept = run_single(small_config(), 0)
         run = run_single(small_config(), 0, keep_records=False)
-        assert run.records is None
+        assert run.contexts is None and run.oracle_second_prices is None
         assert run.allocated.shape == (400,)
+        for name in ("allocated", "payments", "comparison_prices", "explored", "reports",
+                     "estimates", "true_means", "utilities", "eta"):
+            np.testing.assert_array_equal(getattr(run, name), getattr(kept, name))
 
     def test_eta_matches_schedule(self):
         run = run_single(small_config(schedule_kind="constant"), 0)

@@ -143,20 +143,6 @@ def test_report_and_utility_regressions_agree_closely():
     assert gap < 0.05
 
 
-def test_snapshot_and_serialization_round_trip():
-    model = ValueModel(2, ridge=1e-4, prior_estimate=0.3, min_samples=5)
-    rng = np.random.Generator(np.random.PCG64(8))
-    model.ingest_batch(rng.random((9, 2)), rng.random(9))
-    coef, count = model.snapshot()
-    assert count == 9
-    rebuilt = ValueModel.from_dict(model.to_dict())
-    assert rebuilt.sample_count == 9
-    assert rebuilt.min_samples == 5
-    assert np.allclose(rebuilt.coefficients, coef, atol=0.0)
-    context = np.array([0.4, 0.6])
-    assert rebuilt.predict(context) == model.predict(context)
-
-
 class TestEstimateMeanFromReports:
     def test_exact_fraction(self):
         samples = [(0.1, True), (0.9, False), (0.5, True), (0.3, True)]

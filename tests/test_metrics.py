@@ -5,7 +5,6 @@ from feedauction.config import ExperimentConfig
 from feedauction.experiment import paired_deviation_runs, run_single
 from feedauction.metrics import (
     build_series,
-    cumulative_net_utility,
     estimation_error_trace,
     loglog_tail_slope,
     oracle_prices,
@@ -13,7 +12,6 @@ from feedauction.metrics import (
     per_agent_welfare_loss,
     per_round_profit,
     revenue_regret,
-    strategic_profit,
     welfare_regret,
 )
 
@@ -80,12 +78,9 @@ class TestNetUtility:
         np.testing.assert_allclose(net, [[0.0, 0.3], [0.0, 0.5], [0.0, 0.0]])
 
     def test_cumulative_per_agent(self):
-        np.testing.assert_allclose(
-            cumulative_net_utility(MEANS, ALLOCATED, PAYMENTS, 1), [0.3, 0.8, 0.8]
-        )
-        np.testing.assert_allclose(
-            cumulative_net_utility(MEANS, ALLOCATED, PAYMENTS, 0), [0.0, 0.0, 0.0]
-        )
+        cumulative = np.cumsum(per_agent_net_utility(MEANS, ALLOCATED, PAYMENTS), axis=0)
+        np.testing.assert_allclose(cumulative[:, 1], [0.3, 0.8, 0.8])
+        np.testing.assert_allclose(cumulative[:, 0], [0.0, 0.0, 0.0])
 
     def test_overcharged_round_goes_negative(self):
         net = per_agent_net_utility(MEANS, ALLOCATED, np.array([0.9, 0.1, 0.5]))
@@ -144,22 +139,21 @@ class TestPairedProfit:
 
     def test_truthful_twin_profit_is_exactly_zero(self):
         truthful, twin = self.twin_runs("truthful")
-        assert strategic_profit(truthful, twin, 1) == 0.0
         assert np.all(per_round_profit(truthful, twin, 1) == 0.0)
 
     def test_deviation_changes_the_ledger(self):
         truthful, deviant = self.twin_runs("always_high")
-        assert strategic_profit(truthful, deviant, 1) != 0.0
+        assert per_round_profit(truthful, deviant, 1).sum() != 0.0
 
     def test_pairing_is_validated(self):
         config = ExperimentConfig(horizon=200, n_agents=3, dim=2, master_seed=1)
         other = ExperimentConfig(horizon=200, n_agents=3, dim=2, master_seed=2)
         a, b = run_single(config, 0), run_single(other, 0)
         with pytest.raises(ValueError):
-            strategic_profit(a, b, 0)
+            per_round_profit(a, b, 0)
         c = run_single(config, 1)
         with pytest.raises(ValueError):
-            strategic_profit(a, c, 0)
+            per_round_profit(a, c, 0)
 
     def test_paired_deviation_runs_share_the_world(self):
         config = ExperimentConfig(
