@@ -23,7 +23,7 @@ from .agents import AgentSpec, NoiseModel, Strategy
 from .config import ConfigError, ExperimentConfig
 from .learner import SingularDesignError, ValueModel, estimate_mean_from_reports
 from .mechanism import MechanismState, ScheduleSpec, exploration_rate, run_round, second_price
-from .experiment import RunResult, paired_deviation_runs, run_all, run_single
+from .experiment import RunResult, paired_deviation_runs, run_single
 
 __all__ = [
     "AgentSpec",
@@ -45,7 +45,6 @@ __all__ = [
     "estimate_mean_from_reports",
     "exploration_rate",
     "paired_deviation_runs",
-    "run_all",
     "run_round",
     "run_single",
     "second_price",

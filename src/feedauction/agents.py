@@ -90,24 +90,17 @@ class Strategy:
             raise ConfigurationError(f"bad strategy parameter in {text!r}") from exc
         return cls(kind=kind, param=param)
 
-    @property
-    def label(self) -> str:
-        if self.kind in ("random", "threshold_shift"):
-            return f"{self.kind}:{self.param:g}"
-        return self.kind
-
 
 @dataclass(frozen=True, eq=False)
 class AgentSpec:
-    """One agent: true preferences, noise law, and reporting strategy.
+    """One agent: true preferences and reporting strategy.
 
     Linear-utility agents carry ``theta``; dataset-driven agents instead
     carry ``sensitivity_label``, the content category whose presence costs
-    them one unit of utility.
+    them one unit of utility. The world's noise law comes from the config.
     """
 
     theta: np.ndarray | None
-    noise: NoiseModel = NoiseModel()
     strategy: Strategy = Strategy()
     sensitivity_label: str | None = None
 

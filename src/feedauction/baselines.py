@@ -9,15 +9,12 @@ learning at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import ConfigurationError, RngStream, RoundRecord
-from .mechanism import MechanismState, RoundOracle, run_round, second_price
+from .core import ConfigurationError, RoundRecord
+from .mechanism import MechanismState, RoundOracle, _explore, run_round, second_price
 
 __all__ = [
-    "UniformState",
     "direct_regression_round",
     "oracle_round",
     "uniform_round",
@@ -59,35 +56,21 @@ def direct_regression_round(
     return run_round(state, contexts, oracle)
 
 
-@dataclass
-class UniformState:
-    """Round counter and RNG streams for the no-learning baseline."""
-
-    n_agents: int
-    agent_stream: RngStream
-    price_stream: RngStream
-    t: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_agents < 1:
-            raise ConfigurationError(f"n_agents must be >= 1, got {self.n_agents}")
-
-
-def uniform_round(state: UniformState, oracle: RoundOracle) -> RoundRecord:
+def uniform_round(state: MechanismState, oracle: RoundOracle) -> RoundRecord:
     """Allocate uniformly at random for free; collect a report for parity.
 
-    Equivalent to running the feedback mechanism with its exploration rate
-    pinned to 1, minus the bookkeeping of value models nobody reads.
+    The feedback mechanism's round with its exploration rate pinned to 1: it
+    draws no coin and leaves the value models untouched, but makes the same
+    exploration draw, so the comparison price follows the state's price
+    distribution.
     """
-    winner = int(state.agent_stream.integers(state.n_agents))
-    price = float(state.price_stream.random())
-    answer = bool(oracle.compare(winner, price))
+    winner, price = _explore(state)
     record = RoundRecord(
         t=state.t,
         allocated_agent=winner,
         explored=True,
         comparison_price=price,
-        report=answer,
+        report=bool(oracle.compare(winner, price)),
         payment=0.0,
     )
     state.t += 1

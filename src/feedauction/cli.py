@@ -7,7 +7,8 @@ Subcommands: ``run`` (simulate and write JSONL ledgers), ``paired-deviation``
 
 Errors print a single line ``error [category] message`` to stderr and exit
 with a category-specific code: 2 for config problems, 3 for data problems,
-4 for filesystem problems.
+4 for filesystem problems. Any other exception is a fault of the program and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .config import ConfigError, ExperimentConfig
 from .core import ConfigurationError
 from .dataio import (
     ConvergenceError,
-    ParseError,
+    DataError,
     generate_synthetic_dataset,
     load_examples,
     read_run,
@@ -336,7 +337,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ConfigurationError) as exc:
         print(f"error [config] {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ConvergenceError, ValueError) as exc:
+    except (DataError, ConvergenceError, UnicodeDecodeError) as exc:
         print(f"error [data] {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -15,7 +15,7 @@ from typing import Any
 
 from .agents import NOISE_KINDS, Strategy
 from .core import ConfigurationError
-from .mechanism import SCHEDULE_KINDS, TRAINING_POLICIES
+from .mechanism import SCHEDULE_KINDS, TRAINING_POLICIES, parse_price_distribution
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_flat_text"]
 
@@ -78,6 +78,10 @@ class ExperimentConfig:
             raise ConfigError(f"schedule.floor_rounds must be >= 1, got {self.floor_rounds}")
         if self.training_policy not in TRAINING_POLICIES:
             raise ConfigError(f"unknown training policy {self.training_policy!r}")
+        try:
+            parse_price_distribution(self.price_distribution)
+        except ConfigurationError as exc:
+            raise ConfigError(f"bad exploration.price_distribution: {exc}") from None
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.noise_kind!r}")
         if self.noise_width < 0:

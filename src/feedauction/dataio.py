@@ -25,11 +25,12 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .core import DimensionMismatchError
+from .core import ConfigurationError, DimensionMismatchError
 
 __all__ = [
     "CATEGORIES",
     "ConvergenceError",
+    "DataError",
     "FeatureScaler",
     "LabeledExample",
     "ParseError",
@@ -48,7 +49,11 @@ CATEGORIES = ("toxic", "severe_toxic", "obscene", "threat", "insult", "identity_
 RUN_SCHEMA = "feedauction.run.v1"
 
 
-class ParseError(ValueError):
+class DataError(ValueError):
+    """The input data cannot serve the run: malformed, or too small for it."""
+
+
+class ParseError(DataError):
     """A dataset file is malformed; the message names the offending line."""
 
 
@@ -200,9 +205,9 @@ def pca_fit(
         raise ValueError(f"data must be 2-d, got shape {data.shape}")
     n_samples, dim = data.shape
     if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
+        raise DataError(f"need at least 2 samples, got {n_samples}")
     if not 1 <= n_components <= min(n_samples, dim):
-        raise ValueError(
+        raise DataError(
             f"n_components must be in [1, {min(n_samples, dim)}], got {n_components}"
         )
     mean = data.mean(axis=0)
@@ -308,54 +313,38 @@ class FeatureScaler:
         return {"feature_min": self.low.tolist(), "feature_max": self.high.tolist()}
 
 
-# Marginal label frequencies for the synthetic corpus, loosely shaped like
-# real moderation data: the broad categories are common, the severe ones rare.
-DEFAULT_LABEL_RATES = {
-    "toxic": 0.15,
-    "severe_toxic": 0.03,
-    "obscene": 0.08,
-    "threat": 0.03,
-    "insult": 0.08,
-    "identity_hate": 0.03,
-}
+# Marginal label frequencies for the synthetic corpus, in CATEGORIES order,
+# loosely shaped like real moderation data: the broad categories are common,
+# the severe ones rare.
+_LABEL_RATES = (0.15, 0.03, 0.08, 0.03, 0.08, 0.03)
+# Feature-space distance each carried label adds along its category direction.
+_SIGNAL_SCALE = 2.5
 
 
-def generate_synthetic_dataset(
-    n_examples: int,
-    feature_dim: int,
-    seed: int,
-    *,
-    label_rates: dict[str, float] | None = None,
-    signal_scale: float = 2.5,
-) -> list[LabeledExample]:
+def generate_synthetic_dataset(n_examples: int, feature_dim: int, seed: int) -> list[LabeledExample]:
     """Generate a labeled corpus with documented, recoverable ground truth.
 
     Each category is assigned a fixed random unit direction in feature
-    space. Labels are independent Bernoulli draws at ``label_rates``; an
-    example's features are isotropic Gaussian noise plus ``signal_scale``
+    space. Labels are independent Bernoulli draws at ``_LABEL_RATES``; an
+    example's features are isotropic Gaussian noise plus ``_SIGNAL_SCALE``
     times the direction of each label it carries. Linear models can
     therefore separate each category, and principal components recover the
     label directions among the top components.
     """
     if n_examples < 1:
-        raise ValueError(f"n_examples must be >= 1, got {n_examples}")
+        raise ConfigurationError(f"n_examples must be >= 1, got {n_examples}")
     if feature_dim < len(CATEGORIES):
-        raise ValueError(
+        raise ConfigurationError(
             f"feature_dim must be >= {len(CATEGORIES)}, got {feature_dim}"
         )
-    rates = dict(DEFAULT_LABEL_RATES)
-    if label_rates:
-        unknown = set(label_rates) - set(CATEGORIES)
-        if unknown:
-            raise ValueError(f"unknown categories in label_rates: {sorted(unknown)}")
-        rates.update(label_rates)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     directions = rng.standard_normal((len(CATEGORIES), feature_dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    rate_vector = np.array([rates[name] for name in CATEGORIES])
-    labels = (rng.random((n_examples, len(CATEGORIES))) < rate_vector).astype(int)
+    labels = (rng.random((n_examples, len(CATEGORIES))) < np.array(_LABEL_RATES)).astype(int)
     features = rng.standard_normal((n_examples, feature_dim))
-    features += signal_scale * (labels @ directions)
+    features += _SIGNAL_SCALE * (labels @ directions)
     return [
         LabeledExample(
             example_id=f"ex{i:06d}",

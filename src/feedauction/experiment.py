@@ -27,7 +27,7 @@ from .agents import (
     sample_simplex,
     utility_from_uniform,
 )
-from .baselines import UniformState, direct_regression_round, oracle_round, uniform_round
+from .baselines import direct_regression_round, oracle_round, uniform_round
 from .config import ExperimentConfig
 from .core import CODE_VERSION, RngStream, RoundRecord, derive_seed, derive_stream
 from .dataio import CATEGORIES, FeatureScaler, LabeledExample, pca_fit, pca_transform
@@ -39,7 +39,6 @@ __all__ = [
     "RunResult",
     "paired_deviation_runs",
     "prepare_dataset",
-    "run_all",
     "run_metadata",
     "run_single",
 ]
@@ -104,35 +103,27 @@ class _PopulationOracle:
         return float(self.utilities_now[agent])
 
 
-def _build_linear_population(config: ExperimentConfig, run_seed: int) -> list[AgentSpec]:
-    theta_master = config.theta_seed if config.theta_seed is not None else run_seed
-    theta_stream = derive_stream(theta_master, "population/theta")
-    thetas = theta_stream.random((config.n_agents, config.dim))
-    noise = NoiseModel(kind=config.noise_kind, width=config.noise_width)
+def _build_population(config: ExperimentConfig, run_seed: int) -> list[AgentSpec]:
+    # Linear agents draw theta uniformly on [0, 1]^dim. Dataset agents' types
+    # cycle through the categories in their fixed order, so every category
+    # is covered once n_agents reaches six.
+    n_agents = config.n_agents
+    if config.data_source == "csv":
+        thetas = [None] * n_agents
+        labels = [CATEGORIES[i % len(CATEGORIES)] for i in range(n_agents)]
+    else:
+        theta_master = config.theta_seed if config.theta_seed is not None else run_seed
+        thetas = derive_stream(theta_master, "population/theta").random((n_agents, config.dim))
+        labels = [None] * n_agents
     deviant_strategy = Strategy.parse(config.deviant_strategy)
-    specs = []
-    for i in range(config.n_agents):
-        strategy = deviant_strategy if i == config.deviant_index else Strategy()
-        specs.append(AgentSpec(theta=thetas[i], noise=noise, strategy=strategy))
-    return specs
-
-
-def _build_sensitivity_population(config: ExperimentConfig) -> list[AgentSpec]:
-    # Sensitivity types cycle through the categories in their fixed order, so
-    # every category is covered once n_agents reaches six.
-    deviant_strategy = Strategy.parse(config.deviant_strategy)
-    specs = []
-    for i in range(config.n_agents):
-        strategy = deviant_strategy if i == config.deviant_index else Strategy()
-        specs.append(
-            AgentSpec(
-                theta=None,
-                noise=NoiseModel(kind="bernoulli", width=0.0),
-                strategy=strategy,
-                sensitivity_label=CATEGORIES[i % len(CATEGORIES)],
-            )
+    return [
+        AgentSpec(
+            theta=thetas[i],
+            strategy=deviant_strategy if i == config.deviant_index else Strategy(),
+            sensitivity_label=labels[i],
         )
-    return specs
+        for i in range(n_agents)
+    ]
 
 
 def _synthetic_world(
@@ -218,32 +209,29 @@ def _dataset_world(
 def run_single(
     config: ExperimentConfig,
     seed_index: int,
-    examples: list[LabeledExample] | PreparedDataset | None = None,
+    prepared: PreparedDataset | None = None,
     *,
     keep_records: bool = True,
 ) -> RunResult:
     """Play one mechanism for one seed and collect every per-round array.
 
-    ``examples`` may be the loaded corpus or an already-prepared
-    :class:`PreparedDataset`; passing the latter avoids refitting the
-    embedding for every seed. ``keep_records=False`` drops what only the
-    ledger needs, the contexts and the oracle prices; bulk sweeps use it.
+    ``prepared`` is the embedded corpus a ``data.source=csv`` world draws
+    from; sweeps share one across seeds and mechanisms. ``keep_records=False``
+    drops what only the ledger needs, the contexts and the oracle prices;
+    bulk sweeps use it.
     """
     config.validate()
     run_seed = derive_seed(config.master_seed, f"run/{seed_index}")
     horizon, n_agents = config.horizon, config.n_agents
 
+    specs = _build_population(config, run_seed)
     if config.data_source == "csv":
-        if examples is None:
-            raise ValueError("data.source=csv needs the loaded examples")
-        if not isinstance(examples, PreparedDataset):
-            examples = prepare_dataset(examples, config.pca_components)
-        specs = _build_sensitivity_population(config)
+        if prepared is None:
+            raise ValueError("data.source=csv needs the prepared examples")
         contexts, true_means, utilities, scaler_meta = _dataset_world(
-            config, specs, run_seed, examples
+            config, specs, run_seed, prepared
         )
     else:
-        specs = _build_linear_population(config, run_seed)
         contexts, true_means, utilities = _synthetic_world(config, specs, run_seed)
         scaler_meta = None
 
@@ -268,17 +256,16 @@ def run_single(
         floor_rounds=config.floor_rounds,
     )
 
-    learned = config.mechanism in ("feedback", "direct_regression")
-    if learned:
-        state = MechanismState.create(
-            n_agents,
-            contexts.shape[2],
-            schedule,
-            run_seed,
-            training_policy=config.training_policy,
-            regression_target="report" if config.mechanism == "feedback" else "utility",
-            price_distribution=config.price_distribution,
-        )
+    state = MechanismState.create(
+        n_agents,
+        contexts.shape[2],
+        schedule,
+        run_seed,
+        training_policy=config.training_policy,
+        regression_target="utility" if config.mechanism == "direct_regression" else "report",
+        price_distribution=config.price_distribution,
+    )
+    if config.mechanism in ("feedback", "direct_regression"):
         learned_round = run_round if config.mechanism == "feedback" else direct_regression_round
         estimates = np.empty((horizon, n_agents))
         eta = np.array([exploration_rate(schedule, t) for t in range(1, horizon + 1)])
@@ -289,17 +276,12 @@ def run_single(
             return record
 
     elif config.mechanism == "uniform":
-        uniform_state = UniformState(
-            n_agents=n_agents,
-            agent_stream=derive_stream(run_seed, "mechanism/explore_agent"),
-            price_stream=derive_stream(run_seed, "mechanism/comparison_price"),
-        )
         eta = np.ones(horizon)
 
         def play(ti: int) -> RoundRecord:
-            return uniform_round(uniform_state, oracle)
+            return uniform_round(state, oracle)
 
-    else:  # oracle
+    else:  # oracle: allocates on the true means and leaves the state unused
         eta = np.zeros(horizon)
 
         def play(ti: int) -> RoundRecord:
@@ -313,7 +295,7 @@ def run_single(
         comparison_prices[ti] = record.comparison_price
         explored[ti] = record.explored
         reports[ti] = record.report
-    if learned:
+    if estimates is not None:
         final_models = [
             {"sample_count": m.sample_count, "coefficients": m.coefficients.tolist()}
             for m in state.models
@@ -341,39 +323,16 @@ def run_single(
     )
 
 
-def _prepare_if_needed(
-    config: ExperimentConfig,
-    examples: list[LabeledExample] | PreparedDataset | None,
-) -> PreparedDataset | None:
-    if examples is None or isinstance(examples, PreparedDataset):
-        return examples
-    return prepare_dataset(examples, config.pca_components)
-
-
-def run_all(
-    config: ExperimentConfig,
-    examples: list[LabeledExample] | PreparedDataset | None = None,
-    *,
-    keep_records: bool = True,
-) -> list[RunResult]:
-    """Run every seed index of the config."""
-    examples = _prepare_if_needed(config, examples)
-    return [
-        run_single(config, seed_index, examples, keep_records=keep_records)
-        for seed_index in range(config.n_seeds)
-    ]
-
-
 def paired_deviation_runs(
     config: ExperimentConfig,
     deviant_index: int,
     deviant_strategy: str,
-    examples: list[LabeledExample] | PreparedDataset | None = None,
-    *,
-    keep_records: bool = False,
+    prepared: PreparedDataset | None = None,
 ) -> list[tuple[RunResult, RunResult]]:
-    """Run (truthful, deviant) twins for every seed under shared randomness."""
-    examples = _prepare_if_needed(config, examples)
+    """Run (truthful, deviant) twins for every seed under shared randomness.
+
+    Only the ledger reads what ``keep_records`` keeps, so the twins drop it.
+    """
     truthful_config = config.replace(deviant_index=None, deviant_strategy="truthful")
     deviant_config = config.replace(
         deviant_index=deviant_index, deviant_strategy=deviant_strategy
@@ -382,8 +341,8 @@ def paired_deviation_runs(
     for seed_index in range(config.n_seeds):
         pairs.append(
             (
-                run_single(truthful_config, seed_index, examples, keep_records=keep_records),
-                run_single(deviant_config, seed_index, examples, keep_records=keep_records),
+                run_single(truthful_config, seed_index, prepared, keep_records=False),
+                run_single(deviant_config, seed_index, prepared, keep_records=False),
             )
         )
     return pairs

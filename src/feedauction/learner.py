@@ -144,18 +144,22 @@ class ValueModel:
         return min(1.0, max(0.0, score))
 
 
-def estimate_mean_from_reports(samples: list[tuple[float, bool]]) -> float:
-    """Estimate a mean utility from (comparison price, answer) pairs.
+def estimate_mean_from_reports(prices: np.ndarray, answers: np.ndarray) -> float:
+    """Estimate a mean utility from comparison prices and the answers to them.
 
     Requires the comparison prices to have been drawn uniformly on [0, 1];
     under that condition the yes-frequency is an unbiased estimate of the
     mean of the utility distribution, whatever its shape.
     """
-    if not samples:
+    prices = np.asarray(prices, dtype=float)
+    answers = np.asarray(answers, dtype=bool)
+    if prices.ndim != 1 or answers.shape != prices.shape:
+        raise DimensionMismatchError(
+            f"need two 1-d arrays of one length, got shapes {prices.shape} and {answers.shape}"
+        )
+    if prices.size == 0:
         raise ValueError("at least one sample is required")
-    total = 0
-    for price, answer in samples:
-        if not 0.0 <= price <= 1.0:
-            raise ValueError(f"comparison price {price} outside [0, 1]")
-        total += bool(answer)
-    return total / len(samples)
+    outside = prices[~((prices >= 0.0) & (prices <= 1.0))]
+    if outside.size:
+        raise ValueError(f"comparison price {outside[0]} outside [0, 1]")
+    return np.count_nonzero(answers) / answers.size

@@ -31,6 +31,7 @@ __all__ = [
     "RoundOracle",
     "ScheduleSpec",
     "exploration_rate",
+    "parse_price_distribution",
     "run_round",
     "second_price",
 ]
@@ -107,6 +108,23 @@ def second_price(estimates: np.ndarray) -> tuple[int, float]:
     return winner, price
 
 
+def parse_price_distribution(text: str) -> float | None:
+    """The fixed exploration price of ``"fixed:<v>"``, or None for ``"uniform"``."""
+    if text == "uniform":
+        return None
+    kind, _, arg = text.partition(":")
+    if kind == "fixed":
+        try:
+            value = float(arg)
+        except ValueError:
+            value = -1.0
+        if 0.0 <= value <= 1.0:
+            return value
+    raise ConfigurationError(
+        f"unknown price distribution {text!r}; expected 'uniform' or 'fixed:<value in [0,1]>'"
+    )
+
+
 class RoundOracle(Protocol):
     """Per-round query interface to the agent population.
 
@@ -128,7 +146,8 @@ class MechanismState:
     The three streams are consumed in a fixed order each round (one coin
     draw, then on exploration one winner draw and one price draw), so two
     runs sharing a master seed stay aligned round for round even when their
-    agents report differently.
+    agents report differently. The uniform baseline plays on the same state
+    but draws no coin.
     """
 
     models: list[ValueModel]
@@ -157,24 +176,7 @@ class MechanismState:
                 f"{len(self.models)} models for a schedule with "
                 f"{self.schedule.n_agents} agents"
             )
-        self._fixed_price = self._parse_price_distribution()
-
-    def _parse_price_distribution(self) -> float | None:
-        # The fixed exploration price, or None for uniform prices.
-        if self.price_distribution == "uniform":
-            return None
-        kind, _, arg = self.price_distribution.partition(":")
-        if kind == "fixed":
-            try:
-                value = float(arg)
-            except ValueError:
-                value = -1.0
-            if 0.0 <= value <= 1.0:
-                return value
-        raise ConfigurationError(
-            f"unknown price distribution {self.price_distribution!r}; "
-            "expected 'uniform' or 'fixed:<value in [0,1]>'"
-        )
+        self._fixed_price = parse_price_distribution(self.price_distribution)
 
     @classmethod
     def create(
@@ -187,17 +189,10 @@ class MechanismState:
         training_policy: str = "exploration_only",
         regression_target: str = "report",
         price_distribution: str = "uniform",
-        ridge: float = 1e-6,
-        prior_estimate: float = 0.5,
-        min_samples: int | None = None,
     ) -> "MechanismState":
         """Build fresh models and the named RNG substreams for one run."""
-        models = [
-            ValueModel(dim, ridge=ridge, prior_estimate=prior_estimate, min_samples=min_samples)
-            for _ in range(n_agents)
-        ]
         return cls(
-            models=models,
+            models=[ValueModel(dim) for _ in range(n_agents)],
             schedule=schedule,
             coin_stream=derive_stream(master_seed, "mechanism/explore_coin"),
             agent_stream=derive_stream(master_seed, "mechanism/explore_agent"),
@@ -221,6 +216,12 @@ class MechanismState:
         return self._fixed_price
 
 
+def _explore(state: MechanismState) -> tuple[int, float]:
+    # The exploration draw: a uniformly random winner, then its comparison price.
+    winner = int(state.agent_stream.integers(len(state.models)))
+    return winner, state._draw_comparison_price()
+
+
 def run_round(state: MechanismState, contexts: np.ndarray, oracle: RoundOracle) -> RoundRecord:
     """Play one auction round, updating ``state`` in place.
 
@@ -237,9 +238,8 @@ def run_round(state: MechanismState, contexts: np.ndarray, oracle: RoundOracle) 
     rate = exploration_rate(state.schedule, state.t)
     explored = bool(state.coin_stream.random() < rate)
     if explored:
-        winner = int(state.agent_stream.integers(n_agents))
+        winner, comparison = _explore(state)
         payment = 0.0
-        comparison = state._draw_comparison_price()
     else:
         winner, price = second_price(estimates)
         payment = comparison = price

@@ -38,27 +38,14 @@ def _check_alloc_inputs(true_means: np.ndarray, allocated: np.ndarray) -> tuple[
     return true_means, allocated
 
 
-def welfare_regret(
-    true_means: np.ndarray,
-    allocated: np.ndarray,
-    explored: np.ndarray | None = None,
-    *,
-    count_exploration: bool = True,
-) -> np.ndarray:
+def welfare_regret(true_means: np.ndarray, allocated: np.ndarray) -> np.ndarray:
     """Per-round welfare shortfall against the best-agent allocation.
 
-    Exploration rounds count toward welfare by default (the content is shown
-    either way); with ``count_exploration=False`` the welfare produced on
-    exploration rounds is discarded, for sensitivity analysis.
+    Exploration rounds count toward welfare: the content is shown either way.
     """
     true_means, allocated = _check_alloc_inputs(true_means, allocated)
     rows = np.arange(true_means.shape[0])
-    achieved = true_means[rows, allocated]
-    if not count_exploration:
-        if explored is None:
-            raise ValueError("count_exploration=False needs the explored flags")
-        achieved = np.where(np.asarray(explored, dtype=bool), 0.0, achieved)
-    return true_means.max(axis=1) - achieved
+    return true_means.max(axis=1) - true_means[rows, allocated]
 
 
 def oracle_prices(true_means: np.ndarray) -> np.ndarray:
@@ -152,17 +139,15 @@ def per_round_profit(run_truthful, run_deviant, agent: int) -> np.ndarray:
     return deviant - truthful
 
 
-def loglog_tail_slope(cumulative: np.ndarray, tail_fraction: float = 0.5) -> float:
-    """Least-squares slope of log(cumulative) against log(round) on the tail.
+def loglog_tail_slope(cumulative: np.ndarray) -> float:
+    """Least-squares slope of log(cumulative) against log(round) on the back half.
 
     A curve growing like t^a has slope a. Requires the cumulative values on
     the tail window to be strictly positive.
     """
     cumulative = np.asarray(cumulative, dtype=float)
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
     horizon = cumulative.shape[0]
-    start = int(np.floor(horizon * (1.0 - tail_fraction)))
+    start = horizon // 2
     window = cumulative[start:]
     if window.size < 2:
         raise ValueError("tail window has fewer than 2 points")
@@ -182,7 +167,6 @@ class MetricsSeries:
     revenue_regret_increment: np.ndarray
     max_estimate_error: np.ndarray | None
     net_utility: np.ndarray
-    payment_by_agent: np.ndarray
     cumulative_welfare_regret: np.ndarray
     cumulative_revenue_regret: np.ndarray
 
@@ -200,16 +184,12 @@ def build_series(run) -> MetricsSeries:
     else:
         errors = estimation_error_trace(run.true_means, run.estimates)
     net = per_agent_net_utility(run.true_means, run.allocated, run.payments)
-    payment_by_agent = np.zeros_like(run.true_means)
-    rows = np.arange(run.true_means.shape[0])
-    payment_by_agent[rows, run.allocated] = run.payments
     return MetricsSeries(
         eta=np.asarray(run.eta, dtype=float),
         welfare_regret_increment=welfare_inc,
         revenue_regret_increment=revenue_inc,
         max_estimate_error=errors,
         net_utility=net,
-        payment_by_agent=payment_by_agent,
         cumulative_welfare_regret=np.cumsum(welfare_inc),
         cumulative_revenue_regret=np.cumsum(revenue_inc),
     )

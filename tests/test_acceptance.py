@@ -158,7 +158,7 @@ def test_criterion_01_identification_from_uniform_comparisons():
     for utilities, true_mean in cases.values():
         prices = rng.random(n)
         answers = utilities >= prices
-        estimate = estimate_mean_from_reports(list(zip(prices, answers)))
+        estimate = estimate_mean_from_reports(prices, answers)
         worst = max(worst, abs(estimate - true_mean))
     elapsed = time.perf_counter() - start
     _report(

@@ -35,10 +35,6 @@ class TestStrategy:
         with pytest.raises(ConfigurationError):
             Strategy(kind="random", param=1.5)
 
-    def test_labels_round_trip(self):
-        for text in ("truthful", "inverted", "random:0.25", "threshold_shift:-0.1"):
-            assert Strategy.parse(text).label == text
-
 
 class TestReport:
     def test_truth_table(self):

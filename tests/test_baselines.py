@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from feedauction.baselines import (
-    UniformState,
-    direct_regression_round,
-    oracle_round,
-    uniform_round,
-)
+from feedauction.baselines import direct_regression_round, oracle_round, uniform_round
 from feedauction.core import ConfigurationError, derive_stream
-from feedauction.experiment import run_single
+from feedauction.experiment import run_metadata, run_single
 from feedauction.config import ExperimentConfig
 from feedauction.mechanism import MechanismState, ScheduleSpec
 from feedauction.metrics import build_series, loglog_tail_slope, welfare_regret
@@ -88,11 +83,9 @@ class TestDirectRegressionRound:
 
 class TestUniformRound:
     def test_free_random_allocation(self):
-        state = UniformState(
-            n_agents=3,
-            agent_stream=derive_stream(8, "mechanism/explore_agent"),
-            price_stream=derive_stream(8, "mechanism/comparison_price"),
-        )
+        schedule = ScheduleSpec(kind="slow", n_agents=3)
+        state = MechanismState.create(3, 2, schedule, 8)
+        coin = state.coin_stream.gen.bit_generator.state
         seen = set()
         for t in range(1, 301):
             record = uniform_round(state, CountingOracle([0.5] * 3))
@@ -101,6 +94,19 @@ class TestUniformRound:
             assert record.explored
             seen.add(record.allocated_agent)
         assert seen == {0, 1, 2}
+        assert state.t == 301
+        # No coin is drawn and no model learns.
+        assert state.coin_stream.gen.bit_generator.state == coin
+        assert all(model.sample_count == 0 for model in state.models)
+
+    def test_fixed_price_distribution(self):
+        schedule = ScheduleSpec(kind="slow", n_agents=3)
+        state = MechanismState.create(3, 2, schedule, 8, price_distribution="fixed:0.25")
+        oracle = CountingOracle([0.1, 0.5, 0.9])
+        for _ in range(20):
+            record = uniform_round(state, oracle)
+            assert record.comparison_price == 0.25
+            assert record.report == (oracle.utilities[record.allocated_agent] >= 0.25)
 
     def test_matches_feedback_mechanism_at_full_exploration(self):
         # With the exploration rate pinned at 1 and the same master seed, the
@@ -112,11 +118,7 @@ class TestUniformRound:
 
         schedule = ScheduleSpec(kind="constant", n_agents=3, eta_constant=1.0)
         mech = MechanismState.create(3, 2, schedule, seed)
-        uni = UniformState(
-            n_agents=3,
-            agent_stream=derive_stream(seed, "mechanism/explore_agent"),
-            price_stream=derive_stream(seed, "mechanism/comparison_price"),
-        )
+        uni = MechanismState.create(3, 2, schedule, seed)
         from feedauction.mechanism import run_round
 
         for _ in range(200):
@@ -141,6 +143,24 @@ class TestBaselineBehaviorOnRuns:
             for i in range(3)
         ]
         assert np.mean(slopes) == pytest.approx(1.0, abs=0.05)
+
+    def test_uniform_with_a_fixed_price_asks_at_that_price(self):
+        # Only the price column moves: the winners come from the agent
+        # substream, which the price distribution does not touch.
+        config = ExperimentConfig(
+            mechanism="uniform", horizon=500, n_agents=4, dim=3, master_seed=3
+        )
+        default = run_single(config, 0)
+        fixed = run_single(config.replace(price_distribution="fixed:0.5"), 0)
+        assert np.all(fixed.comparison_prices == 0.5)
+        assert not np.all(default.comparison_prices == 0.5)
+        np.testing.assert_array_equal(fixed.allocated, default.allocated)
+        np.testing.assert_array_equal(fixed.payments, default.payments)
+        rows = np.arange(500)
+        np.testing.assert_array_equal(fixed.reports, fixed.utilities[rows, fixed.allocated] >= 0.5)
+        meta = run_metadata(fixed)
+        assert meta["comparison_price_distribution"] == "fixed:0.5"
+        assert meta["identification_uniform_prices"] is False
 
     def test_oracle_run_has_zero_regret_and_zero_estimation_error(self):
         config = ExperimentConfig(

@@ -122,6 +122,39 @@ class TestGenDataAndCsvRuns:
         assert main(["run", "--config", config]) == 3
         assert capsys.readouterr().err.startswith("error [data]")
 
+    def test_undecodable_corpus_exits_3(self, tmp_path, capsys):
+        corpus = tmp_path / "binary.csv"
+        corpus.write_bytes(b"id,f0\n\xff\xfe,1\n")
+        config = small_config(
+            tmp_path,
+            tmp_path / "runs",
+            **{"data.source": "csv", "data.path": str(corpus)},
+        )
+        assert main(["run", "--config", config]) == 3
+        assert capsys.readouterr().err.startswith("error [data]")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--examples", "0"], ["--features", "5"], ["--seed", "-1"]],
+        ids=["examples", "features", "seed"],
+    )
+    def test_out_of_range_gen_data_arguments_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "corpus.csv"
+        assert main(["gen-data", "--out", str(out), *argv]) == 2
+        assert capsys.readouterr().err.startswith("error [config]")
+        assert not out.exists()
+
+    def test_more_components_than_corpus_features_exits_3(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        main(["gen-data", "--out", str(corpus), "--examples", "50", "--features", "8"])
+        config = small_config(
+            tmp_path,
+            tmp_path / "runs",
+            **{"data.source": "csv", "data.path": str(corpus), "data.pca_components": 9},
+        )
+        assert main(["run", "--config", config]) == 3
+        assert capsys.readouterr().err.startswith("error [data]")
+
 
 class TestPairedDeviationCommand:
     def test_prints_profit_summary_and_csv(self, tmp_path, capsys):
@@ -222,6 +255,33 @@ class TestReportCommand:
         assert main(["run", "--config", config_b]) == 0
         files += [str(p) for p in sorted((tmp_path / "runs_b").glob("*.jsonl"))]
         assert main(["report", *files, "--out", str(tmp_path / "rep")]) == 0
+
+
+class TestErrorCategories:
+    @pytest.mark.parametrize("mechanism", ["feedback", "direct_regression", "uniform", "oracle"])
+    def test_bad_price_distribution_exits_2_for_every_mechanism(self, tmp_path, capsys, mechanism):
+        config = small_config(
+            tmp_path,
+            tmp_path / "runs",
+            mechanism=mechanism,
+            **{"exploration.price_distribution": "bogus"},
+        )
+        assert main(["validate-config", "--config", config]) == 2
+        assert main(["run", "--config", config]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("error [config]") for line in err)
+        assert all("exploration.price_distribution" in line for line in err)
+        assert not (tmp_path / "runs").exists()
+
+    def test_program_faults_are_not_reported_as_data_errors(self, tmp_path, monkeypatch):
+        def broken_run(*args, **kwargs):
+            raise ValueError("shape mismatch inside the program")
+
+        monkeypatch.setattr(cli, "run_single", broken_run)
+        config = small_config(tmp_path, tmp_path / "runs")
+        with pytest.raises(ValueError, match="inside the program"):
+            main(["run", "--config", config])
 
 
 class TestValidateConfigCommand:

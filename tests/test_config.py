@@ -99,6 +99,17 @@ class TestValidate:
         with pytest.raises(ConfigError):
             ExperimentConfig(**changes).validate()
 
+    @pytest.mark.parametrize("rule", ["bogus", "fixed", "fixed:1.5", "fixed:nan", "gaussian:0.5"])
+    @pytest.mark.parametrize("mechanism", ["feedback", "direct_regression", "uniform", "oracle"])
+    def test_price_distribution_checked_for_every_mechanism(self, mechanism, rule):
+        config = ExperimentConfig(mechanism=mechanism, price_distribution=rule)
+        with pytest.raises(ConfigError, match="exploration.price_distribution"):
+            config.validate()
+
+    def test_price_distributions_accepted(self):
+        for rule in ("uniform", "fixed:0", "fixed:0.5", "fixed:1"):
+            ExperimentConfig(price_distribution=rule).validate()
+
     def test_uniform_allows_a_single_agent(self):
         ExperimentConfig(mechanism="uniform", n_agents=1).validate()
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from feedauction.config import ExperimentConfig
+from feedauction.core import ConfigurationError
 from feedauction.dataio import (
-    CATEGORIES,
     FeatureScaler,
     ParseError,
     PcaModel,
@@ -216,16 +216,10 @@ class TestSyntheticDataset:
             rates, [0.15, 0.03, 0.08, 0.03, 0.08, 0.03], atol=0.01
         )
 
-    def test_rate_overrides_and_validation(self):
-        examples = generate_synthetic_dataset(
-            5000, 6, 7, label_rates={"threat": 0.5}
-        )
-        labels = np.array([e.labels for e in examples])
-        assert labels[:, CATEGORIES.index("threat")].mean() == pytest.approx(0.5, abs=0.03)
-        with pytest.raises(ValueError):
-            generate_synthetic_dataset(10, 6, 7, label_rates={"spam": 0.1})
-        with pytest.raises(ValueError):
-            generate_synthetic_dataset(10, 3, 7)
+    def test_out_of_range_sizes_rejected(self):
+        for args in ((0, 6, 7), (10, 3, 7), (10, 6, -1)):
+            with pytest.raises(ConfigurationError):
+                generate_synthetic_dataset(*args)
 
     def test_labels_are_linearly_visible_in_features(self):
         # The toxic direction should separate toxic from clean examples.

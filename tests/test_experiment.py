@@ -8,7 +8,6 @@ from feedauction.experiment import (
     PreparedDataset,
     paired_deviation_runs,
     prepare_dataset,
-    run_all,
     run_metadata,
     run_single,
 )
@@ -98,10 +97,6 @@ class TestRunShapes:
         run = run_single(small_config(schedule_kind="constant"), 0)
         np.testing.assert_allclose(run.eta[:3], 1.0)
         np.testing.assert_allclose(run.eta[3:], 0.1)
-
-    def test_run_all_covers_every_seed(self):
-        results = run_all(small_config(horizon=50), keep_records=False)
-        assert [r.seed_index for r in results] == [0, 1]
 
     def test_metadata_contents(self):
         config = small_config()
@@ -196,8 +191,10 @@ class TestDatasetWorlds:
         assert prepared.meta["pca_components"] == 4
 
     def test_prepared_equals_on_the_fly(self, corpus, prepared):
+        # A dataset prepared once and shared gives the runs that preparing it
+        # afresh for each run gives.
         config = self.toxic_config()
-        a = run_single(config, 0, corpus)
+        a = run_single(config, 0, prepare_dataset(corpus, config.pca_components))
         b = run_single(config, 0, prepared)
         np.testing.assert_array_equal(a.allocated, b.allocated)
         np.testing.assert_array_equal(a.true_means, b.true_means)

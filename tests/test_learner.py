@@ -145,26 +145,32 @@ def test_report_and_utility_regressions_agree_closely():
 
 class TestEstimateMeanFromReports:
     def test_exact_fraction(self):
-        samples = [(0.1, True), (0.9, False), (0.5, True), (0.3, True)]
-        assert estimate_mean_from_reports(samples) == 0.75
+        prices = np.array([0.1, 0.9, 0.5, 0.3])
+        answers = np.array([True, False, True, True])
+        assert estimate_mean_from_reports(prices, answers) == 0.75
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            estimate_mean_from_reports([])
+            estimate_mean_from_reports(np.array([]), np.array([], dtype=bool))
 
     def test_price_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            estimate_mean_from_reports([(1.2, True)])
+            estimate_mean_from_reports(np.array([1.2]), np.array([True]))
+        with pytest.raises(ValueError):
+            estimate_mean_from_reports(np.array([np.nan]), np.array([True]))
+
+    def test_lengths_must_match(self):
+        with pytest.raises(DimensionMismatchError):
+            estimate_mean_from_reports(np.array([0.2, 0.4]), np.array([True]))
 
     def test_recovers_mean_of_constant_utility(self):
         stream = derive_stream(21, "prices")
         prices = stream.random(50_000)
-        samples = [(c, 0.4 >= c) for c in prices]
-        assert estimate_mean_from_reports(samples) == pytest.approx(0.4, abs=0.01)
+        assert estimate_mean_from_reports(prices, 0.4 >= prices) == pytest.approx(0.4, abs=0.01)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=50))
 @settings(max_examples=50, deadline=None)
 def test_estimate_stays_in_unit_interval(prices):
-    samples = [(c, c < 0.5) for c in prices]
-    assert 0.0 <= estimate_mean_from_reports(samples) <= 1.0
+    prices = np.array(prices)
+    assert 0.0 <= estimate_mean_from_reports(prices, prices < 0.5) <= 1.0

@@ -20,7 +20,6 @@ from feedauction.metrics import (
 MEANS = np.array([[0.8, 0.3], [0.2, 0.6], [0.5, 0.5]])
 ALLOCATED = np.array([1, 1, 0])  # wrong, right, tied
 PAYMENTS = np.array([0.0, 0.1, 0.5])
-EXPLORED = np.array([True, False, False])
 
 
 class TestWelfareRegret:
@@ -28,14 +27,6 @@ class TestWelfareRegret:
         np.testing.assert_allclose(
             welfare_regret(MEANS, ALLOCATED), [0.5, 0.0, 0.0]
         )
-
-    def test_discarding_exploration_welfare(self):
-        regret = welfare_regret(MEANS, ALLOCATED, EXPLORED, count_exploration=False)
-        np.testing.assert_allclose(regret, [0.8, 0.0, 0.0])
-
-    def test_discarding_needs_flags(self):
-        with pytest.raises(ValueError):
-            welfare_regret(MEANS, ALLOCATED, count_exploration=False)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -120,8 +111,6 @@ class TestLoglogTailSlope:
     def test_input_validation(self):
         t = np.arange(1, 101, dtype=float)
         with pytest.raises(ValueError):
-            loglog_tail_slope(t, tail_fraction=0.0)
-        with pytest.raises(ValueError):
             loglog_tail_slope(np.zeros(100))
         with pytest.raises(ValueError):
             loglog_tail_slope(t[:1])
@@ -182,13 +171,14 @@ class TestBuildSeries:
         )
         assert series.max_estimate_error.shape == (400,)
         assert np.all(series.max_estimate_error >= 0.0)
-        # Payments land in the winner's column.
+        # Net utility lands in the winner's column: its true mean minus its payment.
         rows = np.arange(400)
         np.testing.assert_allclose(
-            series.payment_by_agent[rows, run.allocated], run.payments
+            series.net_utility[rows, run.allocated],
+            run.true_means[rows, run.allocated] - run.payments,
         )
         np.testing.assert_allclose(
-            series.payment_by_agent.sum(axis=1), run.payments
+            series.net_utility.sum(axis=1), run.true_means[rows, run.allocated] - run.payments
         )
 
     def test_estimate_errors_absent_for_uniform(self):
