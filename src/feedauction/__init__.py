@@ -21,7 +21,7 @@ from .core import (
 )
 from .agents import AgentSpec, NoiseModel, Strategy
 from .config import ConfigError, ExperimentConfig
-from .learner import SingularDesignError, ValueModel, estimate_mean_from_reports
+from .learner import ValueModel, estimate_mean_from_reports
 from .mechanism import MechanismState, ScheduleSpec, exploration_rate, run_round, second_price
 from .experiment import RunResult, paired_deviation_runs, run_single
 
@@ -37,7 +37,6 @@ __all__ = [
     "RoundRecord",
     "RunResult",
     "ScheduleSpec",
-    "SingularDesignError",
     "Strategy",
     "ValueModel",
     "derive_seed",

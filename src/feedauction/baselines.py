@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-def oracle_round(true_means: np.ndarray, oracle: RoundOracle, *, t: int = 1) -> RoundRecord:
+def oracle_round(true_means: np.ndarray, oracle: RoundOracle) -> RoundRecord:
     """Second-price auction on the round's true expected utilities.
 
     A truthful report at the charged price is still collected so the ledger
@@ -30,7 +30,6 @@ def oracle_round(true_means: np.ndarray, oracle: RoundOracle, *, t: int = 1) -> 
     winner, price = second_price(true_means)
     answer = bool(oracle.compare(winner, price))
     return RoundRecord(
-        t=t,
         allocated_agent=winner,
         explored=False,
         comparison_price=price,
@@ -65,13 +64,10 @@ def uniform_round(state: MechanismState, oracle: RoundOracle) -> RoundRecord:
     distribution.
     """
     winner, price = _explore(state)
-    record = RoundRecord(
-        t=state.t,
+    return RoundRecord(
         allocated_agent=winner,
         explored=True,
         comparison_price=price,
         report=bool(oracle.compare(winner, price)),
         payment=0.0,
     )
-    state.t += 1
-    return record

@@ -109,16 +109,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     finals_welfare, finals_revenue, min_net = [], [], []
     welfare_curves, revenue_curves = [], []
     for seed_index in range(config.n_seeds):
-        run = run_single(config, seed_index, examples)
+        run = run_single(config, seed_index, examples, keep_records=not args.skip_contexts)
         series = build_series(run)
         path = out_dir / f"{config.mechanism}_seed{seed_index:03d}.jsonl"
-        write_run(
-            path,
-            run,
-            series,
-            run_metadata(run),
-            include_contexts=not args.skip_contexts,
-        )
+        write_run(path, run, series, run_metadata(run))
         welfare_curves.append(series.cumulative_welfare_regret)
         revenue_curves.append(series.cumulative_revenue_regret)
         finals_welfare.append(series.cumulative_welfare_regret[-1])
@@ -198,30 +192,33 @@ _COMPARABLE_EXEMPT = {
 }
 
 
-def _ledger_columns(
-    file_path: str,
-) -> tuple[dict[str, Any], np.ndarray, np.ndarray, np.ndarray]:
-    # Config echo and the winner, welfare and revenue increment columns of
-    # one run file; its parsed rows are freed on return.
+def _ledger_columns(file_path: str) -> tuple[tuple, str, np.ndarray, np.ndarray, np.ndarray, int]:
+    # Config signature, mechanism, the winner, welfare and revenue increment
+    # columns, and the agent count of one run file; its parsed rows are freed
+    # on return. A ledger missing any of them is a data error.
     metadata, rows = read_run(file_path)
-    return (
-        metadata["config"],
-        np.array([row["allocated_agent"] for row in rows], dtype=int),
-        np.array([row["welfare_regret_increment"] for row in rows], dtype=float),
-        np.array([row["revenue_regret_increment"] for row in rows], dtype=float),
-    )
+    try:
+        echo = metadata["config"]
+        return (
+            tuple((k, repr(v)) for k, v in sorted(echo.items()) if k not in _COMPARABLE_EXEMPT),
+            echo["mechanism"],
+            np.array([row["allocated_agent"] for row in rows], dtype=int),
+            np.array([row["welfare_regret_increment"] for row in rows], dtype=float),
+            np.array([row["revenue_regret_increment"] for row in rows], dtype=float),
+            int(echo["agents.count"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        raise DataError(f"{file_path}: malformed run ledger ({reason})") from None
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     groups: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]] = {}
     signatures = set()
     for file_path in args.files:
-        echo, *columns = _ledger_columns(file_path)
-        signature = tuple(
-            (k, repr(v)) for k, v in sorted(echo.items()) if k not in _COMPARABLE_EXEMPT
-        )
+        signature, mechanism, *columns = _ledger_columns(file_path)
         signatures.add(signature)
-        groups.setdefault(echo["mechanism"], []).append((*columns, echo["agents.count"]))
+        groups.setdefault(mechanism, []).append(tuple(columns))
     if len(signatures) > 1 and not args.allow_mixed:
         raise ConfigError(
             "run files come from incompatible configs; pass --allow-mixed to force"

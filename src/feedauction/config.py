@@ -134,22 +134,6 @@ class ExperimentConfig:
         return cls.from_text(Path(path).read_text())
 
 
-def _as_int(raw: str | int) -> int:
-    if isinstance(raw, int):
-        return raw
-    return int(raw.strip())
-
-
-def _as_float(raw: str | float) -> float:
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    return float(raw.strip())
-
-
-def _as_str(raw: Any) -> str:
-    return str(raw).strip()
-
-
 def _as_optional_int(raw: Any) -> int | None:
     if raw is None:
         return None
@@ -168,27 +152,27 @@ def _as_optional_str(raw: Any) -> str | None:
 
 # Dotted config key -> (ExperimentConfig attribute, caster).
 _KEY_SPECS: dict[str, tuple[str, Any]] = {
-    "horizon": ("horizon", _as_int),
-    "mechanism": ("mechanism", _as_str),
-    "agents.count": ("n_agents", _as_int),
-    "agents.noise": ("noise_kind", _as_str),
-    "agents.noise_width": ("noise_width", _as_float),
+    "horizon": ("horizon", int),
+    "mechanism": ("mechanism", str),
+    "agents.count": ("n_agents", int),
+    "agents.noise": ("noise_kind", str),
+    "agents.noise_width": ("noise_width", float),
     "agents.theta_seed": ("theta_seed", _as_optional_int),
     "agents.deviant_index": ("deviant_index", _as_optional_int),
-    "agents.deviant_strategy": ("deviant_strategy", _as_str),
-    "features.dim": ("dim", _as_int),
-    "schedule.kind": ("schedule_kind", _as_str),
-    "schedule.epsilon": ("epsilon", _as_float),
-    "schedule.eta": ("eta_constant", _as_float),
-    "schedule.floor_rounds": ("floor_rounds", _as_int),
-    "training.policy": ("training_policy", _as_str),
-    "exploration.price_distribution": ("price_distribution", _as_str),
-    "data.source": ("data_source", _as_str),
+    "agents.deviant_strategy": ("deviant_strategy", str),
+    "features.dim": ("dim", int),
+    "schedule.kind": ("schedule_kind", str),
+    "schedule.epsilon": ("epsilon", float),
+    "schedule.eta": ("eta_constant", float),
+    "schedule.floor_rounds": ("floor_rounds", int),
+    "training.policy": ("training_policy", str),
+    "exploration.price_distribution": ("price_distribution", str),
+    "data.source": ("data_source", str),
     "data.path": ("data_path", _as_optional_str),
-    "data.pca_components": ("pca_components", _as_int),
-    "seeds.master": ("master_seed", _as_int),
-    "seeds.count": ("n_seeds", _as_int),
-    "output.dir": ("output_dir", _as_str),
+    "data.pca_components": ("pca_components", int),
+    "seeds.master": ("master_seed", int),
+    "seeds.count": ("n_seeds", int),
+    "output.dir": ("output_dir", str),
 }
 
 _ATTRS = {attr for attr, _ in _KEY_SPECS.values()}

@@ -102,7 +102,6 @@ class RoundRecord:
     round; the driver keeps it in the run's columns.
     """
 
-    t: int
     allocated_agent: int
     explored: bool
     comparison_price: float

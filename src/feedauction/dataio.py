@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -154,13 +155,6 @@ class PcaModel:
         if np.any(np.diff(self.explained_variance) > 1e-9 * (1.0 + self.explained_variance[0])):
             raise ValueError("explained variances must be non-increasing")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "mean": self.mean.tolist(),
-            "components": self.components.tolist(),
-            "explained_variance": self.explained_variance.tolist(),
-        }
-
 
 def _orthonormal_filler(basis: list[np.ndarray], dim: int) -> np.ndarray:
     # Deterministic unit vector orthogonal to everything found so far; used
@@ -268,22 +262,12 @@ def pca_fit(
 
 
 def pca_transform(model: PcaModel, data: np.ndarray) -> np.ndarray:
-    """Project a vector (or rows of a matrix) onto the component basis."""
+    """Project the rows of a matrix onto the component basis."""
     data = np.asarray(data, dtype=float)
     dim = model.mean.shape[0]
-    if data.ndim == 1:
-        if data.shape[0] != dim:
-            raise DimensionMismatchError(
-                f"vector has length {data.shape[0]}, model dimension is {dim}"
-            )
-        return model.components @ (data - model.mean)
-    if data.ndim == 2:
-        if data.shape[1] != dim:
-            raise DimensionMismatchError(
-                f"rows have length {data.shape[1]}, model dimension is {dim}"
-            )
-        return (data - model.mean) @ model.components.T
-    raise ValueError(f"data must be 1-d or 2-d, got shape {data.shape}")
+    if data.ndim != 2 or data.shape[1] != dim:
+        raise DimensionMismatchError(f"data has shape {data.shape}, expected (rows, {dim})")
+    return (data - model.mean) @ model.components.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,39 +343,34 @@ def _json_line(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def write_run(
-    path: str | Path,
-    run,
-    series,
-    metadata: dict[str, Any],
-    *,
-    include_contexts: bool = True,
-) -> None:
+def write_run(path: str | Path, run, series, metadata: dict[str, Any]) -> None:
     """Write one run as JSONL: a metadata line, then one line per round.
 
-    ``run`` is an :class:`~feedauction.experiment.RunResult` made with
-    ``keep_records=True`` and ``series`` its
-    :class:`~feedauction.metrics.MetricsSeries`. The metadata object is the
-    caller's mapping plus the schema tag and round count.
-    ``include_contexts=False`` drops the per-round context matrices (the
-    bulkiest column) and notes that in the metadata. Output is
-    deterministic: identical inputs give byte-identical files.
+    ``run`` is an :class:`~feedauction.experiment.RunResult` and ``series``
+    its :class:`~feedauction.metrics.MetricsSeries`. The metadata object is
+    the caller's mapping plus the schema tag, the round count and whether
+    the per-round context matrices are included: they are exactly when the
+    run kept them (``keep_records=True``). Output is deterministic: identical
+    inputs give byte-identical files. The file is written under a temporary
+    name in the same directory and renamed into place, so a failed write
+    leaves no partial ledger.
     """
+    path = Path(path)
     n_rounds = len(run)
-    if n_rounds != series.horizon:
-        raise ValueError(f"{n_rounds} rounds but metric series of length {series.horizon}")
-    if run.oracle_second_prices is None:
-        raise ValueError("run was made with keep_records=False and has no ledger columns")
+    if series.welfare_regret_increment.shape != (n_rounds,):
+        raise ValueError(
+            f"{n_rounds} rounds but metric series of shape {series.welfare_regret_increment.shape}"
+        )
     head = dict(metadata)
     head["schema"] = RUN_SCHEMA
     head["n_rounds"] = n_rounds
-    head["contexts_included"] = bool(include_contexts)
+    head["contexts_included"] = run.contexts is not None
     errors = series.max_estimate_error
     # Each column becomes native Python values in one call and rows zip
     # them; contexts, the bulkiest, are converted one round at a time.
     columns = {
         "t": range(1, n_rounds + 1),
-        "contexts": (c.tolist() for c in run.contexts) if include_contexts else repeat(None),
+        "contexts": repeat(None) if run.contexts is None else (c.tolist() for c in run.contexts),
         "allocated_agent": run.allocated.tolist(),
         "explored": run.explored.tolist(),
         "comparison_price": run.comparison_prices.tolist(),
@@ -399,17 +378,22 @@ def write_run(
         "payment": run.payments.tolist(),
         "true_utility": run.utilities[np.arange(n_rounds), run.allocated].tolist(),
         "oracle_second_price": run.oracle_second_prices.tolist(),
-        "eta": series.eta.tolist(),
+        "eta": run.eta.tolist(),
         "welfare_regret_increment": series.welfare_regret_increment.tolist(),
         "revenue_regret_increment": series.revenue_regret_increment.tolist(),
         "max_estimate_error": repeat(None) if errors is None else errors.tolist(),
         "net_utility": series.net_utility.tolist(),
     }
     keys = tuple(columns)
-    with Path(path).open("w", newline="\n") as handle:
-        handle.write(_json_line(head))
-        for values in zip(*columns.values()):
-            handle.write(_json_line(dict(zip(keys, values))))
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", newline="\n") as handle:
+            handle.write(_json_line(head))
+            for values in zip(*columns.values()):
+                handle.write(_json_line(dict(zip(keys, values))))
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def read_run(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:

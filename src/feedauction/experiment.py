@@ -48,9 +48,8 @@ __all__ = [
 class RunResult:
     """Per-round columns of one completed run; ``len()`` is its horizon.
 
-    ``contexts`` (the world's (rounds, agents, dim) array) and
-    ``oracle_second_prices`` are needed only by the ledger; they are ``None``
-    for runs made with ``keep_records=False``.
+    ``contexts``, the world's (rounds, agents, dim) array, is needed only by
+    the ledger; it is ``None`` for runs made with ``keep_records=False``.
     """
 
     config: ExperimentConfig
@@ -60,7 +59,7 @@ class RunResult:
     contexts: np.ndarray | None
     true_means: np.ndarray
     utilities: np.ndarray
-    oracle_second_prices: np.ndarray | None
+    oracle_second_prices: np.ndarray
     estimates: np.ndarray | None
     allocated: np.ndarray
     payments: np.ndarray
@@ -217,8 +216,7 @@ def run_single(
 
     ``prepared`` is the embedded corpus a ``data.source=csv`` world draws
     from; sweeps share one across seeds and mechanisms. ``keep_records=False``
-    drops what only the ledger needs, the contexts and the oracle prices;
-    bulk sweeps use it.
+    drops the contexts, which only the ledger reads; bulk sweeps use it.
     """
     config.validate()
     run_seed = derive_seed(config.master_seed, f"run/{seed_index}")
@@ -285,7 +283,7 @@ def run_single(
         eta = np.zeros(horizon)
 
         def play(ti: int) -> RoundRecord:
-            return oracle_round(true_means[ti], oracle, t=ti + 1)
+            return oracle_round(true_means[ti], oracle)
 
     for ti in range(horizon):
         oracle.utilities_now = utilities[ti]
@@ -310,7 +308,7 @@ def run_single(
         true_means=true_means,
         utilities=utilities,
         # A copy: the column is a view of the partitioned (rounds, agents) matrix.
-        oracle_second_prices=oracle_second_prices.copy() if keep_records else None,
+        oracle_second_prices=oracle_second_prices.copy(),
         estimates=estimates,
         allocated=allocated,
         payments=payments,
@@ -331,7 +329,8 @@ def paired_deviation_runs(
 ) -> list[tuple[RunResult, RunResult]]:
     """Run (truthful, deviant) twins for every seed under shared randomness.
 
-    Only the ledger reads what ``keep_records`` keeps, so the twins drop it.
+    Only the ledger reads the contexts ``keep_records`` keeps, so the twins
+    drop them.
     """
     truthful_config = config.replace(deviant_index=None, deviant_strategy="truthful")
     deviant_config = config.replace(

@@ -15,11 +15,7 @@ import numpy as np
 
 from .core import DimensionMismatchError
 
-__all__ = ["SingularDesignError", "ValueModel", "estimate_mean_from_reports"]
-
-
-class SingularDesignError(RuntimeError):
-    """The unregularized normal equations are singular and cannot be solved."""
+__all__ = ["ValueModel", "estimate_mean_from_reports"]
 
 
 class ValueModel:
@@ -29,41 +25,24 @@ class ValueModel:
     vector ``sum(target * w)`` over ingested samples. Coefficients are
     refreshed lazily: ingesting marks the model stale and the next ``fit`` or
     ``predict`` call performs one dense symmetric solve of
-    ``(Gram + ridge * I) coef = moment``.
+    ``(Gram + ridge * I) coef = moment``; the ridge keeps that system
+    positive definite, so it always has a solution.
 
-    Until ``min_samples`` samples have been ingested, predictions fall back
-    to ``prior_estimate``; afterwards they are the linear score clamped to
-    [0, 1].
+    Until ``min_samples`` (= ``dim``) samples have been ingested, predictions
+    fall back to ``prior_estimate``; afterwards they are the linear score
+    clamped to [0, 1].
     """
 
-    __slots__ = (
-        "dim",
-        "ridge",
-        "prior_estimate",
-        "min_samples",
-        "sample_count",
-        "gram",
-        "moment",
-        "_coef",
-        "_stale",
-    )
+    ridge = 1e-6
+    prior_estimate = 0.5
 
-    def __init__(
-        self,
-        dim: int,
-        *,
-        ridge: float = 1e-6,
-        prior_estimate: float = 0.5,
-        min_samples: int | None = None,
-    ) -> None:
+    __slots__ = ("dim", "min_samples", "sample_count", "gram", "moment", "_coef", "_stale")
+
+    def __init__(self, dim: int) -> None:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {ridge}")
         self.dim = dim
-        self.ridge = float(ridge)
-        self.prior_estimate = float(prior_estimate)
-        self.min_samples = dim if min_samples is None else int(min_samples)
+        self.min_samples = dim
         self.sample_count = 0
         self.gram = np.zeros((dim, dim))
         self.moment = np.zeros(dim)
@@ -108,21 +87,8 @@ class ValueModel:
         self._stale = True
 
     def fit(self) -> np.ndarray:
-        """Solve the regularized normal equations and cache the coefficients.
-
-        Deterministic given the current statistics. With ``ridge == 0`` a
-        singular Gram matrix raises :class:`SingularDesignError`.
-        """
-        system = self.gram
-        if self.ridge > 0.0:
-            system = system + self.ridge * np.eye(self.dim)
-        try:
-            self._coef = np.linalg.solve(system, self.moment)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError(
-                f"normal equations are singular after {self.sample_count} samples "
-                f"with ridge={self.ridge}"
-            ) from exc
+        """Solve the regularized normal equations and cache the coefficients."""
+        self._coef = np.linalg.solve(self.gram + self.ridge * np.eye(self.dim), self.moment)
         self._stale = False
         return self._coef
 

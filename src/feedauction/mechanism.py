@@ -251,7 +251,6 @@ def run_round(state: MechanismState, contexts: np.ndarray, oracle: RoundOracle) 
             target = float(answer)
         state.models[winner].ingest(contexts[winner], target)
     record = RoundRecord(
-        t=state.t,
         allocated_agent=winner,
         explored=explored,
         comparison_price=comparison,

@@ -21,7 +21,6 @@ __all__ = [
     "per_agent_net_utility",
     "per_agent_welfare_loss",
     "per_round_profit",
-    "revenue_regret",
     "welfare_regret",
 ]
 
@@ -54,22 +53,6 @@ def oracle_prices(true_means: np.ndarray) -> np.ndarray:
     if true_means.shape[1] < 2:
         return np.zeros(true_means.shape[0])
     return np.partition(true_means, -2, axis=1)[:, -2]
-
-
-def revenue_regret(true_means: np.ndarray, payments: np.ndarray) -> np.ndarray:
-    """Per-round revenue shortfall against the oracle's second price.
-
-    Exploration rounds pay nothing, so they contribute the full oracle price;
-    exploitation rounds can contribute negative increments when the learned
-    price overshoots.
-    """
-    true_means = np.asarray(true_means, dtype=float)
-    payments = np.asarray(payments, dtype=float)
-    if payments.shape != (true_means.shape[0],):
-        raise ValueError(
-            f"payments have shape {payments.shape}, expected ({true_means.shape[0]},)"
-        )
-    return oracle_prices(true_means) - payments
 
 
 def estimation_error_trace(true_means: np.ndarray, estimates: np.ndarray) -> np.ndarray:
@@ -160,9 +143,8 @@ def loglog_tail_slope(cumulative: np.ndarray) -> float:
 
 @dataclass
 class MetricsSeries:
-    """Per-round metric columns for one run, all of length ``horizon``."""
+    """Per-round metric columns for one run, all of the run's length."""
 
-    eta: np.ndarray
     welfare_regret_increment: np.ndarray
     revenue_regret_increment: np.ndarray
     max_estimate_error: np.ndarray | None
@@ -170,22 +152,23 @@ class MetricsSeries:
     cumulative_welfare_regret: np.ndarray
     cumulative_revenue_regret: np.ndarray
 
-    @property
-    def horizon(self) -> int:
-        return self.eta.shape[0]
-
 
 def build_series(run) -> MetricsSeries:
-    """Assemble the standard metric columns from a finished run."""
+    """Assemble the standard metric columns from a finished run.
+
+    Revenue regret is the shortfall against the oracle's second price.
+    Exploration rounds pay nothing, so they contribute the full oracle price;
+    exploitation rounds can contribute negative increments when the learned
+    price overshoots.
+    """
     welfare_inc = welfare_regret(run.true_means, run.allocated)
-    revenue_inc = revenue_regret(run.true_means, run.payments)
+    revenue_inc = run.oracle_second_prices - run.payments
     if run.estimates is None:
         errors = None
     else:
         errors = estimation_error_trace(run.true_means, run.estimates)
     net = per_agent_net_utility(run.true_means, run.allocated, run.payments)
     return MetricsSeries(
-        eta=np.asarray(run.eta, dtype=float),
         welfare_regret_increment=welfare_inc,
         revenue_regret_increment=revenue_inc,
         max_estimate_error=errors,

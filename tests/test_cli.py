@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -255,6 +256,34 @@ class TestReportCommand:
         assert main(["run", "--config", config_b]) == 0
         files += [str(p) for p in sorted((tmp_path / "runs_b").glob("*.jsonl"))]
         assert main(["report", *files, "--out", str(tmp_path / "rep")]) == 0
+
+    @pytest.mark.parametrize(
+        "lines, missing",
+        [
+            ([{"schema": "feedauction.run.v1", "n_rounds": 0}], "config"),
+            (
+                [
+                    {
+                        "schema": "feedauction.run.v1",
+                        "n_rounds": 1,
+                        "config": {"mechanism": "feedback", "agents.count": 3},
+                    },
+                    {"t": 1},
+                ],
+                "allocated_agent",
+            ),
+        ],
+        ids=["metadata", "row"],
+    )
+    def test_ledger_missing_a_key_exits_3(self, tmp_path, capsys, lines, missing):
+        ledger = tmp_path / "partial.jsonl"
+        ledger.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        report_dir = tmp_path / "report"
+        assert main(["report", str(ledger), "--out", str(report_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [data]")
+        assert str(ledger) in err and repr(missing) in err
+        assert not report_dir.exists()
 
 
 class TestErrorCategories:

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from feedauction.config import ExperimentConfig
-from feedauction.core import ConfigurationError
+from feedauction.core import ConfigurationError, DimensionMismatchError
 from feedauction.dataio import (
     FeatureScaler,
     ParseError,
@@ -145,10 +147,11 @@ class TestPca:
     def test_transform_shapes_and_validation(self):
         data = np.array([[0.0, 0.0], [2.0, 2.0]])
         model = pca_fit(data, 1)
-        assert pca_transform(model, np.array([2.0, 2.0])).shape == (1,)
         assert pca_transform(model, data).shape == (2, 1)
-        with pytest.raises(ValueError):
-            pca_transform(model, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DimensionMismatchError):
+            pca_transform(model, np.ones((2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            pca_transform(model, np.array([2.0, 2.0]))  # rows only, not one vector
 
     def test_input_validation(self):
         data = np.zeros((5, 3))
@@ -270,7 +273,7 @@ class TestRunFiles:
         write_run(path, run, series, run_metadata(run))
         _, rows = read_run(path)
         for i, row in enumerate(rows):
-            assert row["eta"] == series.eta[i]
+            assert row["eta"] == run.eta[i]
             assert row["welfare_regret_increment"] == series.welfare_regret_increment[i]
             assert row["max_estimate_error"] == series.max_estimate_error[i]
             assert row["net_utility"] == [float(v) for v in series.net_utility[i]]
@@ -288,21 +291,48 @@ class TestRunFiles:
         assert first.read_bytes() == third.read_bytes()
 
     def test_contexts_can_be_dropped(self, tmp_path):
+        # A run made with keep_records=False writes every column but contexts.
         run, series = self.make_run()
-        path = tmp_path / "slim.jsonl"
-        write_run(path, run, series, run_metadata(run), include_contexts=False)
-        metadata, rows = read_run(path)
-        assert metadata["contexts_included"] is False
-        assert all(row["contexts"] is None for row in rows)
+        lean = run_single(run.config, 0, keep_records=False)
+        assert lean.contexts is None
+        full_path, slim_path = tmp_path / "full.jsonl", tmp_path / "slim.jsonl"
+        write_run(full_path, run, series, run_metadata(run))
+        write_run(slim_path, lean, build_series(lean), run_metadata(lean))
+        full_meta, full_rows = read_run(full_path)
+        slim_meta, slim_rows = read_run(slim_path)
+        assert full_meta.pop("contexts_included") is True
+        assert slim_meta.pop("contexts_included") is False
+        assert slim_meta == full_meta
+        assert len(slim_rows) == len(full_rows) == 120
+        for full, slim in zip(full_rows, slim_rows):
+            assert full.pop("contexts") is not None
+            assert slim.pop("contexts") is None
+            assert slim == full
 
-    def test_runs_without_records_are_refused(self, tmp_path):
-        lean = run_single(self.make_run()[0].config, 0, keep_records=False)
-        for include_contexts in (True, False):
-            with pytest.raises(ValueError, match="keep_records"):
-                write_run(
-                    tmp_path / "x.jsonl", lean, build_series(lean), {},
-                    include_contexts=include_contexts,
-                )
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        class FailingRows:
+            # Contexts that run out partway through the rows.
+            def __init__(self, contexts):
+                self.contexts = contexts
+
+            def __iter__(self):
+                yield from self.contexts[:60]
+                raise RuntimeError("disk gone")
+
+        run, series = self.make_run()
+        broken = dataclasses.replace(run, contexts=FailingRows(run.contexts))
+        fresh = tmp_path / "fresh.jsonl"
+        with pytest.raises(RuntimeError, match="disk gone"):
+            write_run(fresh, broken, series, run_metadata(run))
+        assert list(tmp_path.iterdir()) == []
+
+        kept = tmp_path / "kept.jsonl"
+        write_run(kept, run, series, run_metadata(run))
+        before = kept.read_bytes()
+        with pytest.raises(RuntimeError, match="disk gone"):
+            write_run(kept, broken, series, run_metadata(run))
+        assert kept.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [kept]
 
     def test_length_mismatch_rejected(self, tmp_path):
         run, _ = self.make_run()

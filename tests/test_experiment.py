@@ -87,10 +87,10 @@ class TestRunShapes:
     def test_keep_records_false_drops_only_the_ledger(self):
         kept = run_single(small_config(), 0)
         run = run_single(small_config(), 0, keep_records=False)
-        assert run.contexts is None and run.oracle_second_prices is None
+        assert run.contexts is None
         assert run.allocated.shape == (400,)
         for name in ("allocated", "payments", "comparison_prices", "explored", "reports",
-                     "estimates", "true_means", "utilities", "eta"):
+                     "estimates", "true_means", "utilities", "oracle_second_prices", "eta"):
             np.testing.assert_array_equal(getattr(run, name), getattr(kept, name))
 
     def test_eta_matches_schedule(self):

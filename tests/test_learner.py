@@ -5,16 +5,18 @@ from hypothesis import strategies as st
 
 from feedauction.agents import NoiseModel, sample_simplex, utility_from_uniform
 from feedauction.core import DimensionMismatchError, derive_stream
-from feedauction.learner import SingularDesignError, ValueModel, estimate_mean_from_reports
+from feedauction.learner import ValueModel, estimate_mean_from_reports
 
 from helpers import dense_ridge_solve
 
 
 def test_orthogonal_two_point_fit_is_exact():
-    model = ValueModel(2, ridge=0.0)
+    model = ValueModel(2)
     model.ingest(np.array([1.0, 0.0]), True)
     model.ingest(np.array([0.0, 1.0]), False)
-    assert model.fit() == pytest.approx([1.0, 0.0], abs=1e-12)
+    expected = dense_ridge_solve(np.eye(2), np.array([1.0, 0.0]), ValueModel.ridge)
+    assert model.fit() == pytest.approx(expected, abs=1e-12)
+    assert model.fit() == pytest.approx([1.0, 0.0], abs=1e-5)
 
 
 def test_empty_model_with_ridge_gives_zero_coefficients():
@@ -23,29 +25,32 @@ def test_empty_model_with_ridge_gives_zero_coefficients():
 
 
 def test_predictions_fall_back_to_prior_until_enough_samples():
-    model = ValueModel(2, prior_estimate=0.37)
+    model = ValueModel(2)
+    assert model.min_samples == 2
     context = np.array([0.5, 0.5])
-    assert model.predict(context) == 0.37
+    assert model.predict(context) == 0.5
     model.ingest(context, True)
-    assert model.predict(context) == 0.37  # one sample, min_samples defaults to dim
+    assert model.predict(context) == 0.5  # one sample, min_samples is dim
     model.ingest(np.array([1.0, 0.0]), False)
-    assert model.predict(context) != 0.37
+    assert model.predict(context) == pytest.approx(1.0, abs=1e-5)  # coefficients about (0, 2)
 
 
 def test_predictions_clamped_to_unit_interval():
-    model = ValueModel(1, ridge=0.0, min_samples=1)
+    model = ValueModel(1)
     model.ingest(np.array([1.0]), 3.0)
     assert model.predict(np.array([1.0])) == 1.0
-    model2 = ValueModel(1, ridge=0.0, min_samples=1)
+    model2 = ValueModel(1)
     model2.ingest(np.array([1.0]), -2.0)
     assert model2.predict(np.array([1.0])) == 0.0
 
 
-def test_singular_unregularized_design_raises():
-    model = ValueModel(2, ridge=0.0)
-    model.ingest(np.array([1.0, 0.0]), True)  # rank 1
-    with pytest.raises(SingularDesignError):
-        model.fit()
+def test_rank_deficient_design_is_solved_at_the_fixed_ridge():
+    # The ridge keeps the normal equations positive definite: a rank-1 design
+    # still has the unique ridge solution.
+    model = ValueModel(2)
+    model.ingest(np.array([1.0, 0.0]), True)
+    expected = dense_ridge_solve(np.array([[1.0, 0.0]]), np.array([1.0]), ValueModel.ridge)
+    assert model.fit() == pytest.approx(expected, abs=1e-12)
 
 
 def test_dimension_mismatch_rejected():
@@ -89,11 +94,16 @@ def test_scaling_contexts_scales_coefficients_inversely():
     rng = np.random.Generator(np.random.PCG64(3))
     design = rng.random((6, 4)) + 0.1
     targets = rng.random(6)
-    base = ValueModel(4, ridge=0.0)
+    base = ValueModel(4)
     base.ingest_batch(design, targets)
-    scaled = ValueModel(4, ridge=0.0)
+    scaled = ValueModel(4)
     scaled.ingest_batch(design * 10.0, targets)
-    assert scaled.fit() == pytest.approx(base.fit() / 10.0, rel=1e-9)
+    assert base.fit() == pytest.approx(dense_ridge_solve(design, targets, ValueModel.ridge), abs=1e-10)
+    assert scaled.fit() == pytest.approx(
+        dense_ridge_solve(design * 10.0, targets, ValueModel.ridge), abs=1e-10
+    )
+    # Exact without a ridge; the fixed ridge pulls the unscaled fit by ~2e-5.
+    assert scaled.fit() == pytest.approx(base.fit() / 10.0, rel=1e-4)
 
 
 def test_held_out_error_improves_as_samples_double():

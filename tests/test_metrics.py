@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from feedauction.metrics import (
     per_agent_net_utility,
     per_agent_welfare_loss,
     per_round_profit,
-    revenue_regret,
     welfare_regret,
 )
 
@@ -35,20 +36,38 @@ class TestWelfareRegret:
             welfare_regret(MEANS[:, 0], ALLOCATED)
 
 
+def worked_series(payments):
+    # build_series on the worked example, with the oracle price column a run keeps.
+    run = SimpleNamespace(
+        true_means=MEANS,
+        allocated=ALLOCATED,
+        payments=payments,
+        oracle_second_prices=oracle_prices(MEANS),
+        estimates=None,
+    )
+    return build_series(run)
+
+
 class TestRevenueRegret:
     def test_worked_example(self):
         # Oracle prices are the per-round second-highest means: 0.3, 0.2, 0.5.
         np.testing.assert_allclose(oracle_prices(MEANS), [0.3, 0.2, 0.5])
-        np.testing.assert_allclose(
-            revenue_regret(MEANS, PAYMENTS), [0.3, 0.1, 0.0]
-        )
+        series = worked_series(PAYMENTS)
+        np.testing.assert_allclose(series.revenue_regret_increment, [0.3, 0.1, 0.0])
+        np.testing.assert_allclose(series.cumulative_revenue_regret, [0.3, 0.4, 0.4])
 
     def test_overcharging_counts_negative(self):
-        regret = revenue_regret(MEANS, np.array([0.0, 0.4, 0.5]))
+        regret = worked_series(np.array([0.0, 0.4, 0.5])).revenue_regret_increment
         assert regret[1] == pytest.approx(-0.2)
 
     def test_single_agent_prices_are_zero(self):
         np.testing.assert_allclose(oracle_prices(np.array([[0.7], [0.2]])), [0.0, 0.0])
+        config = ExperimentConfig(
+            mechanism="uniform", horizon=50, n_agents=1, dim=2, master_seed=4
+        )
+        run = run_single(config, 0)
+        assert np.all(run.oracle_second_prices == 0.0)
+        assert np.all(build_series(run).revenue_regret_increment == 0.0)
 
 
 class TestEstimationError:
@@ -162,7 +181,10 @@ class TestBuildSeries:
         config = ExperimentConfig(horizon=400, n_agents=4, dim=3, master_seed=9)
         run = run_single(config, 0)
         series = build_series(run)
-        assert series.horizon == 400
+        assert series.welfare_regret_increment.shape == (400,)
+        np.testing.assert_array_equal(
+            series.revenue_regret_increment, run.oracle_second_prices - run.payments
+        )
         np.testing.assert_allclose(
             series.cumulative_welfare_regret, np.cumsum(series.welfare_regret_increment)
         )
