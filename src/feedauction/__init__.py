@@ -19,24 +19,21 @@ from .core import (
     derive_seed,
     derive_stream,
 )
-from .agents import AgentSpec, NoiseModel, Strategy
+from .agents import Strategy
 from .config import ConfigError, ExperimentConfig
 from .learner import ValueModel, estimate_mean_from_reports
-from .mechanism import MechanismState, ScheduleSpec, exploration_rate, run_round, second_price
+from .mechanism import MechanismState, exploration_rate, run_round, second_price
 from .experiment import RunResult, paired_deviation_runs, run_single
 
 __all__ = [
-    "AgentSpec",
     "ConfigError",
     "ConfigurationError",
     "DimensionMismatchError",
     "ExperimentConfig",
     "MechanismState",
-    "NoiseModel",
     "RngStream",
     "RoundRecord",
     "RunResult",
-    "ScheduleSpec",
     "Strategy",
     "ValueModel",
     "derive_seed",

@@ -19,8 +19,6 @@ from .core import ConfigurationError, RngStream
 __all__ = [
     "NOISE_KINDS",
     "STRATEGY_KINDS",
-    "AgentSpec",
-    "NoiseModel",
     "Strategy",
     "report",
     "sample_simplex",
@@ -36,27 +34,6 @@ STRATEGY_KINDS = (
     "random",
     "threshold_shift",
 )
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Mean-preserving noise around an expected utility in [0, 1].
-
-    ``bernoulli`` draws 1 with probability equal to the mean. For
-    ``truncated_uniform`` the realized utility is uniform on
-    [mean - a, mean + a] with the half-width ``a = min(width, mean, 1 - mean)``
-    shrunk near the boundary so the support stays inside [0, 1] and the mean
-    is preserved exactly.
-    """
-
-    kind: str = "truncated_uniform"
-    width: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.kind not in NOISE_KINDS:
-            raise ConfigurationError(f"unknown noise kind {self.kind!r}")
-        if self.width < 0:
-            raise ConfigurationError(f"noise width must be >= 0, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -91,35 +68,16 @@ class Strategy:
         return cls(kind=kind, param=param)
 
 
-@dataclass(frozen=True, eq=False)
-class AgentSpec:
-    """One agent: true preferences and reporting strategy.
-
-    Linear-utility agents carry ``theta``; dataset-driven agents instead
-    carry ``sensitivity_label``, the content category whose presence costs
-    them one unit of utility. The world's noise law comes from the config.
-    """
-
-    theta: np.ndarray | None
-    strategy: Strategy = Strategy()
-    sensitivity_label: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.theta is None and self.sensitivity_label is None:
-            raise ConfigurationError(
-                "agent needs either linear coefficients or a sensitivity label"
-            )
-        if self.theta is not None:
-            theta = np.asarray(self.theta, dtype=float)
-            if theta.ndim != 1:
-                raise ConfigurationError("theta must be a 1-d vector")
-            if np.any(theta < 0.0) or np.any(theta > 1.0):
-                raise ConfigurationError("theta entries must lie in [0, 1]")
-            object.__setattr__(self, "theta", theta)
-
-
-def utility_from_uniform(mean, uniform, noise: NoiseModel):
+def utility_from_uniform(mean, uniform, kind: str, width: float):
     """Map uniform draws on [0, 1) to realized utilities with the given mean.
+
+    The noise is mean-preserving around an expected utility in [0, 1]
+    (``kind`` and ``width`` are the config's ``agents.noise`` and
+    ``agents.noise_width``). ``bernoulli`` draws 1 with probability equal to
+    the mean. For ``truncated_uniform`` the realized utility is uniform on
+    [mean - a, mean + a] with the half-width ``a = min(width, mean, 1 - mean)``
+    shrunk near the boundary so the support stays inside [0, 1] and the mean
+    is preserved exactly.
 
     Vectorized: ``mean`` and ``uniform`` may be arrays of the same shape.
     Feeding pre-drawn uniforms through this function lets paired runs share
@@ -127,10 +85,10 @@ def utility_from_uniform(mean, uniform, noise: NoiseModel):
     """
     mean = np.asarray(mean, dtype=float)
     uniform = np.asarray(uniform, dtype=float)
-    if noise.kind == "bernoulli":
+    if kind == "bernoulli":
         out = (uniform < mean).astype(float)
     else:
-        half_width = np.minimum(noise.width, np.minimum(mean, 1.0 - mean))
+        half_width = np.minimum(width, np.minimum(mean, 1.0 - mean))
         out = mean + (2.0 * uniform - 1.0) * half_width
     if out.ndim == 0:
         return float(out)

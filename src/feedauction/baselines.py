@@ -45,12 +45,12 @@ def direct_regression_round(
 
     Identical to the feedback mechanism's round in every pre- and
     post-condition except that model training targets the realized utility
-    rather than the binary report, so the state must have been created with
-    ``regression_target="utility"``.
+    rather than the binary report, which :func:`run_round` does exactly when
+    the state's config names this mechanism.
     """
-    if state.regression_target != "utility":
+    if state.config.mechanism != "direct_regression":
         raise ConfigurationError(
-            "direct regression needs a state created with regression_target='utility'"
+            "direct regression needs a state whose config has mechanism = direct_regression"
         )
     return run_round(state, contexts, oracle)
 

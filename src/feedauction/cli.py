@@ -91,7 +91,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "output_dir", None) is not None:
         overrides["output_dir"] = args.output_dir
     if overrides:
-        config = config.replace(**overrides).validate()
+        config = config.replace(**overrides)
     return config
 
 
@@ -195,21 +195,36 @@ _COMPARABLE_EXEMPT = {
 def _ledger_columns(file_path: str) -> tuple[tuple, str, np.ndarray, np.ndarray, np.ndarray, int]:
     # Config signature, mechanism, the winner, welfare and revenue increment
     # columns, and the agent count of one run file; its parsed rows are freed
-    # on return. A ledger missing any of them is a data error.
+    # on return. A ledger missing any of them, naming a winner outside
+    # [0, agents.count) or holding a non-finite increment is a data error.
     metadata, rows = read_run(file_path)
     try:
         echo = metadata["config"]
-        return (
-            tuple((k, repr(v)) for k, v in sorted(echo.items()) if k not in _COMPARABLE_EXEMPT),
-            echo["mechanism"],
-            np.array([row["allocated_agent"] for row in rows], dtype=int),
-            np.array([row["welfare_regret_increment"] for row in rows], dtype=float),
-            np.array([row["revenue_regret_increment"] for row in rows], dtype=float),
-            int(echo["agents.count"]),
+        signature = tuple(
+            (k, repr(v)) for k, v in sorted(echo.items()) if k not in _COMPARABLE_EXEMPT
         )
+        mechanism = echo["mechanism"]
+        allocated = np.array([row["allocated_agent"] for row in rows], dtype=int)
+        welfare = np.array([row["welfare_regret_increment"] for row in rows], dtype=float)
+        revenue = np.array([row["revenue_regret_increment"] for row in rows], dtype=float)
+        n_agents = int(echo["agents.count"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
         raise DataError(f"{file_path}: malformed run ledger ({reason})") from None
+    outside = np.flatnonzero((allocated < 0) | (allocated >= n_agents))
+    if outside.size:
+        row = outside[0]
+        raise DataError(
+            f"{file_path}: round {row + 1} allocates agent {allocated[row]}, "
+            f"outside [0, {n_agents}) for agents.count {n_agents}"
+        )
+    for name, column in (("welfare", welfare), ("revenue", revenue)):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise DataError(
+                f"{file_path}: round {bad[0] + 1} has {name}_regret_increment {column[bad[0]]}"
+            )
+    return signature, mechanism, allocated, welfare, revenue, n_agents
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -5,10 +5,15 @@ dotted lowercase keys; ``#`` starts a comment anywhere on a line. Unknown
 keys are rejected by name, duplicate keys are rejected, and every effective
 parameter (explicit or defaulted) is echoed into run metadata so a run file
 fully describes how it was produced.
+
+An :class:`ExperimentConfig` is validated when it is built, so every config
+that exists is one the mechanism, the world and the report oracle can read
+directly; a bad value raises :class:`ConfigError` naming its key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
@@ -29,7 +34,7 @@ class ConfigError(ConfigurationError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs besides the data file itself."""
+    """Everything a run needs besides the data file itself; valid once built."""
 
     horizon: int = 5000
     n_agents: int = 10
@@ -53,7 +58,10 @@ class ExperimentConfig:
     n_seeds: int = 20
     output_dir: str = "runs"
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.mechanism not in MECHANISMS:
@@ -63,28 +71,28 @@ class ExperimentConfig:
         min_agents = 1 if self.mechanism == "uniform" else 2
         if self.n_agents < min_agents:
             raise ConfigError(
-                f"mechanism {self.mechanism!r} needs at least {min_agents} agents, "
-                f"got {self.n_agents}"
+                f"agents.count: mechanism {self.mechanism!r} needs at least "
+                f"{min_agents} agents, got {self.n_agents}"
             )
         if self.dim < 1:
             raise ConfigError(f"features.dim must be >= 1, got {self.dim}")
         if self.schedule_kind not in SCHEDULE_KINDS:
-            raise ConfigError(f"unknown schedule kind {self.schedule_kind!r}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"schedule.epsilon must be > 0, got {self.epsilon}")
+            raise ConfigError(f"unknown schedule.kind {self.schedule_kind!r}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"schedule.epsilon must be finite and > 0, got {self.epsilon}")
         if not 0.0 < self.eta_constant <= 1.0:
             raise ConfigError(f"schedule.eta must be in (0, 1], got {self.eta_constant}")
         if self.floor_rounds < 1:
             raise ConfigError(f"schedule.floor_rounds must be >= 1, got {self.floor_rounds}")
         if self.training_policy not in TRAINING_POLICIES:
-            raise ConfigError(f"unknown training policy {self.training_policy!r}")
+            raise ConfigError(f"unknown training.policy {self.training_policy!r}")
         try:
             parse_price_distribution(self.price_distribution)
         except ConfigurationError as exc:
             raise ConfigError(f"bad exploration.price_distribution: {exc}") from None
         if self.noise_kind not in NOISE_KINDS:
-            raise ConfigError(f"unknown noise kind {self.noise_kind!r}")
-        if self.noise_width < 0:
+            raise ConfigError(f"unknown agents.noise {self.noise_kind!r}")
+        if not self.noise_width >= 0:
             raise ConfigError(f"agents.noise_width must be >= 0, got {self.noise_width}")
         if self.deviant_index is not None and not 0 <= self.deviant_index < self.n_agents:
             raise ConfigError(
@@ -95,14 +103,13 @@ class ExperimentConfig:
         except ConfigurationError as exc:
             raise ConfigError(f"bad agents.deviant_strategy: {exc}") from None
         if self.data_source not in DATA_SOURCES:
-            raise ConfigError(f"unknown data source {self.data_source!r}")
+            raise ConfigError(f"unknown data.source {self.data_source!r}")
         if self.data_source == "csv" and not self.data_path:
             raise ConfigError("data.source=csv requires data.path")
         if self.pca_components < 1:
             raise ConfigError(f"data.pca_components must be >= 1, got {self.pca_components}")
         if self.n_seeds < 1:
             raise ConfigError(f"seeds.count must be >= 1, got {self.n_seeds}")
-        return self
 
     def echo(self) -> dict[str, Any]:
         """Complete flat mapping of every effective parameter."""
@@ -123,7 +130,7 @@ class ExperimentConfig:
                 values[attr] = caster(raw)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
-        return cls(**values).validate()
+        return cls(**values)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":

@@ -19,19 +19,12 @@ from typing import Any
 
 import numpy as np
 
-from .agents import (
-    AgentSpec,
-    NoiseModel,
-    Strategy,
-    report,
-    sample_simplex,
-    utility_from_uniform,
-)
+from .agents import Strategy, report, sample_simplex, utility_from_uniform
 from .baselines import direct_regression_round, oracle_round, uniform_round
 from .config import ExperimentConfig
 from .core import CODE_VERSION, RngStream, RoundRecord, derive_seed, derive_stream
 from .dataio import CATEGORIES, FeatureScaler, LabeledExample, pca_fit, pca_transform
-from .mechanism import MechanismState, ScheduleSpec, exploration_rate, run_round
+from .mechanism import MechanismState, exploration_rate, run_round
 from .metrics import oracle_prices
 
 __all__ = [
@@ -55,7 +48,6 @@ class RunResult:
     config: ExperimentConfig
     seed_index: int
     run_seed: int
-    agent_specs: list[AgentSpec]
     contexts: np.ndarray | None
     true_means: np.ndarray
     utilities: np.ndarray
@@ -83,16 +75,16 @@ class _PopulationOracle:
     report streams untouched.
     """
 
-    __slots__ = ("specs", "report_streams", "utilities_now")
+    __slots__ = ("strategies", "report_streams", "utilities_now")
 
-    def __init__(self, specs: list[AgentSpec], report_streams: list[RngStream]) -> None:
-        self.specs = specs
+    def __init__(self, strategies: list[Strategy], report_streams: list[RngStream]) -> None:
+        self.strategies = strategies
         self.report_streams = report_streams
         self.utilities_now: np.ndarray | None = None
 
     def compare(self, agent: int, price: float) -> bool:
         return report(
-            self.specs[agent].strategy,
+            self.strategies[agent],
             float(self.utilities_now[agent]),
             price,
             self.report_streams[agent],
@@ -102,44 +94,23 @@ class _PopulationOracle:
         return float(self.utilities_now[agent])
 
 
-def _build_population(config: ExperimentConfig, run_seed: int) -> list[AgentSpec]:
-    # Linear agents draw theta uniformly on [0, 1]^dim. Dataset agents' types
-    # cycle through the categories in their fixed order, so every category
-    # is covered once n_agents reaches six.
-    n_agents = config.n_agents
-    if config.data_source == "csv":
-        thetas = [None] * n_agents
-        labels = [CATEGORIES[i % len(CATEGORIES)] for i in range(n_agents)]
-    else:
-        theta_master = config.theta_seed if config.theta_seed is not None else run_seed
-        thetas = derive_stream(theta_master, "population/theta").random((n_agents, config.dim))
-        labels = [None] * n_agents
-    deviant_strategy = Strategy.parse(config.deviant_strategy)
-    return [
-        AgentSpec(
-            theta=thetas[i],
-            strategy=deviant_strategy if i == config.deviant_index else Strategy(),
-            sensitivity_label=labels[i],
-        )
-        for i in range(n_agents)
-    ]
-
-
 def _synthetic_world(
-    config: ExperimentConfig, specs: list[AgentSpec], run_seed: int
+    config: ExperimentConfig, run_seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Linear agents: theta uniform on [0, 1]^dim, pinned across seed indices
+    # when agents.theta_seed is set.
+    theta_master = config.theta_seed if config.theta_seed is not None else run_seed
+    thetas = derive_stream(theta_master, "population/theta").random((config.n_agents, config.dim))
     contexts = sample_simplex(
         derive_stream(run_seed, "world/contexts"),
         (config.horizon, config.n_agents),
         config.dim,
     )
-    theta_matrix = np.stack([spec.theta for spec in specs])
-    true_means = np.einsum("tnd,nd->tn", contexts, theta_matrix)
+    true_means = np.einsum("tnd,nd->tn", contexts, thetas)
     uniforms = derive_stream(run_seed, "world/utilities").random(
         (config.horizon, config.n_agents)
     )
-    noise = NoiseModel(kind=config.noise_kind, width=config.noise_width)
-    utilities = utility_from_uniform(true_means, uniforms, noise)
+    utilities = utility_from_uniform(true_means, uniforms, config.noise_kind, config.noise_width)
     return contexts, true_means, utilities
 
 
@@ -181,10 +152,7 @@ def prepare_dataset(examples: list[LabeledExample], pca_components: int) -> Prep
 
 
 def _dataset_world(
-    config: ExperimentConfig,
-    specs: list[AgentSpec],
-    run_seed: int,
-    prepared: PreparedDataset,
+    config: ExperimentConfig, run_seed: int, prepared: PreparedDataset
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, Any]]:
     if prepared.pca_components != config.pca_components:
         raise ValueError(
@@ -195,9 +163,9 @@ def _dataset_world(
         prepared.n_examples, size=(config.horizon, config.n_agents)
     )
     contexts = prepared.contexts_pool[draws]
-    sensitivity_index = np.array(
-        [CATEGORIES.index(spec.sensitivity_label) for spec in specs]
-    )
+    # Agent i is harmed by category i in CATEGORIES' fixed order, cycling, so
+    # every category is covered once n_agents reaches six.
+    sensitivity_index = np.arange(config.n_agents) % len(CATEGORIES)
     harmed = prepared.label_matrix[draws, sensitivity_index[None, :]]
     utilities = 1.0 - harmed.astype(float)
     # Utilities are deterministic given the drawn example, so the true
@@ -218,23 +186,25 @@ def run_single(
     from; sweeps share one across seeds and mechanisms. ``keep_records=False``
     drops the contexts, which only the ledger reads; bulk sweeps use it.
     """
+    # Built configs are already valid; this repeat is the run's entry check,
+    # which the benchmark's layer map times as ``config.validate``.
     config.validate()
     run_seed = derive_seed(config.master_seed, f"run/{seed_index}")
     horizon, n_agents = config.horizon, config.n_agents
 
-    specs = _build_population(config, run_seed)
     if config.data_source == "csv":
         if prepared is None:
             raise ValueError("data.source=csv needs the prepared examples")
         contexts, true_means, utilities, scaler_meta = _dataset_world(
-            config, specs, run_seed, prepared
+            config, run_seed, prepared
         )
     else:
-        contexts, true_means, utilities = _synthetic_world(config, specs, run_seed)
+        contexts, true_means, utilities = _synthetic_world(config, run_seed)
         scaler_meta = None
 
+    deviant_strategy = Strategy.parse(config.deviant_strategy)
     oracle = _PopulationOracle(
-        specs,
+        [deviant_strategy if i == config.deviant_index else Strategy() for i in range(n_agents)],
         [derive_stream(run_seed, f"agents/report/{i}") for i in range(n_agents)],
     )
     oracle_second_prices = oracle_prices(true_means)
@@ -246,27 +216,11 @@ def run_single(
     estimates: np.ndarray | None = None
     final_models: list[dict[str, Any]] | None = None
 
-    schedule = ScheduleSpec(
-        kind=config.schedule_kind,
-        n_agents=n_agents,
-        epsilon=config.epsilon,
-        eta_constant=config.eta_constant,
-        floor_rounds=config.floor_rounds,
-    )
-
-    state = MechanismState.create(
-        n_agents,
-        contexts.shape[2],
-        schedule,
-        run_seed,
-        training_policy=config.training_policy,
-        regression_target="utility" if config.mechanism == "direct_regression" else "report",
-        price_distribution=config.price_distribution,
-    )
+    state = MechanismState.create(config, contexts.shape[2], run_seed)
     if config.mechanism in ("feedback", "direct_regression"):
         learned_round = run_round if config.mechanism == "feedback" else direct_regression_round
         estimates = np.empty((horizon, n_agents))
-        eta = np.array([exploration_rate(schedule, t) for t in range(1, horizon + 1)])
+        eta = np.array([exploration_rate(config, t) for t in range(1, horizon + 1)])
 
         def play(ti: int) -> RoundRecord:
             record = learned_round(state, contexts[ti], oracle)
@@ -303,7 +257,6 @@ def run_single(
         config=config,
         seed_index=seed_index,
         run_seed=run_seed,
-        agent_specs=specs,
         contexts=contexts if keep_records else None,
         true_means=true_means,
         utilities=utilities,

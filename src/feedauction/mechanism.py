@@ -17,19 +17,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
 from .core import ConfigurationError, DimensionMismatchError, RngStream, RoundRecord, derive_stream
 from .learner import ValueModel
 
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+
 __all__ = [
     "SCHEDULE_KINDS",
     "TRAINING_POLICIES",
     "MechanismState",
     "RoundOracle",
-    "ScheduleSpec",
     "exploration_rate",
     "parse_price_distribution",
     "run_round",
@@ -38,12 +40,10 @@ __all__ = [
 
 SCHEDULE_KINDS = ("slow", "fast", "constant")
 TRAINING_POLICIES = ("exploration_only", "all_allocations")
-REGRESSION_TARGETS = ("report", "utility")
 
 
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """Exploration-rate schedule for a population of ``n_agents``.
+def exploration_rate(config: ExperimentConfig, t: int) -> float:
+    """Probability of exploring in round ``t`` (1-based), always in [0, 1].
 
     ``slow`` decays like t^(-1/3) and ``fast`` like t^(-1/2), both carrying a
     polylog factor in ``n_agents * log(t)`` whose exponent is controlled by
@@ -51,45 +51,18 @@ class ScheduleSpec:
     return 1.0 for the first ``floor_rounds`` rounds so every agent can be
     sampled before the formulas (whose log factor vanishes at t = 1) engage.
     """
-
-    kind: str
-    n_agents: int
-    epsilon: float = 0.05
-    eta_constant: float = 0.1
-    floor_rounds: int = 3
-
-    def __post_init__(self) -> None:
-        if self.kind not in SCHEDULE_KINDS:
-            raise ConfigurationError(
-                f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}"
-            )
-        if self.n_agents < 1:
-            raise ConfigurationError(f"n_agents must be >= 1, got {self.n_agents}")
-        if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
-        if not 0.0 < self.eta_constant <= 1.0:
-            raise ConfigurationError(
-                f"eta_constant must be in (0, 1], got {self.eta_constant}"
-            )
-        if self.floor_rounds < 1:
-            raise ConfigurationError(
-                f"floor_rounds must be >= 1, got {self.floor_rounds}"
-            )
-
-
-def exploration_rate(spec: ScheduleSpec, t: int) -> float:
-    """Probability of exploring in round ``t`` (1-based), always in [0, 1]."""
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
-    if t <= spec.floor_rounds:
+    if t <= config.floor_rounds:
         return 1.0
-    if spec.kind == "constant":
-        return spec.eta_constant
-    log_factor = spec.n_agents * math.log(t)
-    if spec.kind == "slow":
-        rate = t ** (-1.0 / 3.0) * log_factor ** ((1.0 + 2.0 * spec.epsilon) / 3.0)
+    kind = config.schedule_kind
+    if kind == "constant":
+        return config.eta_constant
+    log_factor = config.n_agents * math.log(t)
+    if kind == "slow":
+        rate = t ** (-1.0 / 3.0) * log_factor ** ((1.0 + 2.0 * config.epsilon) / 3.0)
     else:
-        rate = t ** (-0.5) * log_factor ** ((1.0 + spec.epsilon) / 2.0)
+        rate = t ** (-0.5) * log_factor ** ((1.0 + config.epsilon) / 2.0)
     return min(1.0, rate)
 
 
@@ -141,65 +114,37 @@ class RoundOracle(Protocol):
 
 @dataclass
 class MechanismState:
-    """Mutable cross-round state: value models, schedule, and RNG streams.
+    """Mutable cross-round state: value models, round counter and RNG streams.
 
-    The three streams are consumed in a fixed order each round (one coin
-    draw, then on exploration one winner draw and one price draw), so two
-    runs sharing a master seed stay aligned round for round even when their
-    agents report differently. The uniform baseline plays on the same state
-    but draws no coin.
+    The schedule, training policy, training target and price rule are read
+    from ``config``. The three streams are consumed in a fixed order each
+    round (one coin draw, then on exploration one winner draw and one price
+    draw), so two runs sharing a master seed stay aligned round for round
+    even when their agents report differently. The uniform baseline plays on
+    the same state but draws no coin.
     """
 
+    config: ExperimentConfig
     models: list[ValueModel]
-    schedule: ScheduleSpec
     coin_stream: RngStream
     agent_stream: RngStream
     price_stream: RngStream
-    training_policy: str = "exploration_only"
-    regression_target: str = "report"
-    price_distribution: str = "uniform"
     t: int = 1
     last_estimates: np.ndarray | None = field(default=None, repr=False)
     _fixed_price: float | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.training_policy not in TRAINING_POLICIES:
-            raise ConfigurationError(
-                f"unknown training policy {self.training_policy!r}"
-            )
-        if self.regression_target not in REGRESSION_TARGETS:
-            raise ConfigurationError(
-                f"unknown regression target {self.regression_target!r}"
-            )
-        if len(self.models) != self.schedule.n_agents:
-            raise ConfigurationError(
-                f"{len(self.models)} models for a schedule with "
-                f"{self.schedule.n_agents} agents"
-            )
-        self._fixed_price = parse_price_distribution(self.price_distribution)
+        self._fixed_price = parse_price_distribution(self.config.price_distribution)
 
     @classmethod
-    def create(
-        cls,
-        n_agents: int,
-        dim: int,
-        schedule: ScheduleSpec,
-        master_seed: int,
-        *,
-        training_policy: str = "exploration_only",
-        regression_target: str = "report",
-        price_distribution: str = "uniform",
-    ) -> "MechanismState":
+    def create(cls, config: ExperimentConfig, dim: int, master_seed: int) -> "MechanismState":
         """Build fresh models and the named RNG substreams for one run."""
         return cls(
-            models=[ValueModel(dim) for _ in range(n_agents)],
-            schedule=schedule,
+            config=config,
+            models=[ValueModel(dim) for _ in range(config.n_agents)],
             coin_stream=derive_stream(master_seed, "mechanism/explore_coin"),
             agent_stream=derive_stream(master_seed, "mechanism/explore_agent"),
             price_stream=derive_stream(master_seed, "mechanism/comparison_price"),
-            training_policy=training_policy,
-            regression_target=regression_target,
-            price_distribution=price_distribution,
         )
 
     def refresh_estimates(self, contexts: np.ndarray) -> np.ndarray:
@@ -235,7 +180,8 @@ def run_round(state: MechanismState, contexts: np.ndarray, oracle: RoundOracle) 
             f"contexts have shape {contexts.shape}, expected ({n_agents}, dim)"
         )
     estimates = state.refresh_estimates(contexts)
-    rate = exploration_rate(state.schedule, state.t)
+    config = state.config
+    rate = exploration_rate(config, state.t)
     explored = bool(state.coin_stream.random() < rate)
     if explored:
         winner, comparison = _explore(state)
@@ -244,8 +190,8 @@ def run_round(state: MechanismState, contexts: np.ndarray, oracle: RoundOracle) 
         winner, price = second_price(estimates)
         payment = comparison = price
     answer = bool(oracle.compare(winner, comparison))
-    if explored or state.training_policy == "all_allocations":
-        if state.regression_target == "utility":
+    if explored or config.training_policy == "all_allocations":
+        if config.mechanism == "direct_regression":
             target = float(oracle.utility(winner))
         else:
             target = float(answer)

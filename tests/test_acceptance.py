@@ -11,14 +11,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from feedauction.agents import NoiseModel, sample_simplex, utility_from_uniform
+from feedauction.agents import sample_simplex, utility_from_uniform
 from feedauction.cli import main, write_histogram_csv
 from feedauction.config import ExperimentConfig
 from feedauction.core import derive_seed, derive_stream
 from feedauction.dataio import generate_synthetic_dataset, pca_fit, read_run
 from feedauction.experiment import prepare_dataset, run_single
 from feedauction.learner import ValueModel, estimate_mean_from_reports
-from feedauction.mechanism import ScheduleSpec, exploration_rate
+from feedauction.mechanism import exploration_rate
 from feedauction.metrics import (
     build_series,
     estimation_error_trace,
@@ -172,7 +172,6 @@ def test_criterion_01_identification_from_uniform_comparisons():
 def test_criterion_02_report_regression_equals_utility_regression():
     start = time.perf_counter()
     dim, n_samples = 5, 20_000
-    noise = NoiseModel(kind="truncated_uniform", width=0.2)
     grid = sample_simplex(derive_stream(777, "acceptance/heldout_grid"), (1000,), dim)
     gaps = []
     for i in range(N_SEEDS):
@@ -181,7 +180,7 @@ def test_criterion_02_report_regression_equals_utility_regression():
         contexts = sample_simplex(derive_stream(seed, "world/contexts"), (n_samples,), dim)
         means = contexts @ theta
         uniforms = derive_stream(seed, "world/utilities").random(n_samples)
-        utilities = utility_from_uniform(means, uniforms, noise)
+        utilities = utility_from_uniform(means, uniforms, "truncated_uniform", 0.2)
         prices = derive_stream(seed, "mechanism/comparison_price").random(n_samples)
         answers = (utilities >= prices).astype(float)
         report_model, utility_model = ValueModel(dim), ValueModel(dim)
@@ -402,7 +401,7 @@ def test_criterion_10_schedule_matches_arbitrary_precision_oracle():
     worst_rel = 0.0
     for kind in ("slow", "fast"):
         for n_agents in (2, 10, 100):
-            spec = ScheduleSpec(kind=kind, n_agents=n_agents)
+            spec = ExperimentConfig(schedule_kind=kind, n_agents=n_agents)
             for t in (10, 10**3, 10**6):
                 mine = exploration_rate(spec, t)
                 reference = oracle_rate(kind, n_agents, t)
@@ -415,7 +414,7 @@ def test_criterion_10_schedule_matches_arbitrary_precision_oracle():
     monotone_ok = True
     for kind in ("slow", "fast"):
         for n_agents in (2, 10, 100):
-            spec = ScheduleSpec(kind=kind, n_agents=n_agents)
+            spec = ExperimentConfig(schedule_kind=kind, n_agents=n_agents)
             previous = 1.0
             for t in range(3, 10**6 + 1):
                 rate = exploration_rate(spec, t)

@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedauction.agents import (
-    AgentSpec,
-    NoiseModel,
-    Strategy,
-    report,
-    sample_simplex,
-    utility_from_uniform,
-)
+from feedauction.agents import Strategy, report, sample_simplex, utility_from_uniform
 from feedauction.config import ConfigError, ExperimentConfig
 from feedauction.core import ConfigurationError, derive_stream
 from feedauction.experiment import run_single
+
+
+def thetas_of(run):
+    # The linear population a synthetic run draws, re-derived from its stream.
+    config = run.config
+    master = config.theta_seed if config.theta_seed is not None else run.run_seed
+    return derive_stream(master, "population/theta").random((config.n_agents, config.dim))
 
 
 class TestStrategy:
@@ -78,19 +78,11 @@ class TestReport:
 
 
 class TestAgentSpec:
-    def test_needs_theta_or_label(self):
-        with pytest.raises(ConfigurationError):
-            AgentSpec(theta=None)
-
-    def test_theta_range_validated(self):
-        with pytest.raises(ConfigurationError):
-            AgentSpec(theta=np.array([0.5, 1.2]))
-        with pytest.raises(ConfigurationError):
-            AgentSpec(theta=np.array([[0.5], [0.5]]))
+    """A synthetic agent's expected utility is theta . w."""
 
     def test_linear_mean_is_the_dot_product(self):
         run = run_single(ExperimentConfig(horizon=20, n_agents=3, dim=2, master_seed=4), 0)
-        thetas = np.stack([spec.theta for spec in run.agent_specs])
+        thetas = thetas_of(run)
         np.testing.assert_allclose(
             run.true_means, (run.contexts * thetas).sum(axis=-1), rtol=1e-12
         )
@@ -99,43 +91,41 @@ class TestAgentSpec:
 
 class TestNoise:
     def test_bernoulli_thresholds_the_uniform(self):
-        noise = NoiseModel(kind="bernoulli")
-        assert utility_from_uniform(0.7, 0.69, noise) == 1.0
-        assert utility_from_uniform(0.7, 0.71, noise) == 0.0
+        assert utility_from_uniform(0.7, 0.69, "bernoulli", 0.2) == 1.0
+        assert utility_from_uniform(0.7, 0.71, "bernoulli", 0.2) == 0.0
 
     def test_truncated_uniform_support(self):
-        noise = NoiseModel(kind="truncated_uniform", width=0.2)
-        assert utility_from_uniform(0.5, 0.0, noise) == pytest.approx(0.3)
-        assert utility_from_uniform(0.5, 1.0, noise) == pytest.approx(0.7)
+        noise = ("truncated_uniform", 0.2)
+        assert utility_from_uniform(0.5, 0.0, *noise) == pytest.approx(0.3)
+        assert utility_from_uniform(0.5, 1.0, *noise) == pytest.approx(0.7)
         # Near the boundary the half-width shrinks to min(width, mean, 1-mean).
-        assert utility_from_uniform(0.1, 0.0, noise) == pytest.approx(0.0)
-        assert utility_from_uniform(0.1, 1.0, noise) == pytest.approx(0.2)
-        assert utility_from_uniform(0.95, 0.0, noise) == pytest.approx(0.9)
-        assert utility_from_uniform(0.95, 1.0, noise) == pytest.approx(1.0)
+        assert utility_from_uniform(0.1, 0.0, *noise) == pytest.approx(0.0)
+        assert utility_from_uniform(0.1, 1.0, *noise) == pytest.approx(0.2)
+        assert utility_from_uniform(0.95, 0.0, *noise) == pytest.approx(0.9)
+        assert utility_from_uniform(0.95, 1.0, *noise) == pytest.approx(1.0)
 
     def test_zero_width_is_deterministic(self):
-        noise = NoiseModel(kind="truncated_uniform", width=0.0)
-        assert utility_from_uniform(0.42, 0.137, noise) == 0.42
+        assert utility_from_uniform(0.42, 0.137, "truncated_uniform", 0.0) == 0.42
 
     def test_vectorized_matches_scalar(self):
-        noise = NoiseModel(kind="truncated_uniform", width=0.2)
+        noise = ("truncated_uniform", 0.2)
         means = np.array([0.1, 0.5, 0.9])
         uniforms = np.array([0.25, 0.5, 0.75])
-        vector = utility_from_uniform(means, uniforms, noise)
-        scalars = [utility_from_uniform(m, u, noise) for m, u in zip(means, uniforms)]
+        vector = utility_from_uniform(means, uniforms, *noise)
+        scalars = [utility_from_uniform(m, u, *noise) for m, u in zip(means, uniforms)]
         assert vector == pytest.approx(scalars)
 
     @pytest.mark.parametrize(
         "noise, tolerance",
         [
-            (NoiseModel(kind="bernoulli"), 0.005),
-            (NoiseModel(kind="truncated_uniform", width=0.2), 0.003),
+            (("bernoulli", 0.2), 0.005),
+            (("truncated_uniform", 0.2), 0.003),
         ],
     )
     def test_noise_preserves_the_mean(self, noise, tolerance):
         stream = derive_stream(11, "world/utilities")
         for mean in (0.1, 0.37, 0.5, 0.92):
-            draws = utility_from_uniform(mean, stream.random(100_000), noise)
+            draws = utility_from_uniform(mean, stream.random(100_000), *noise)
             assert np.all(draws >= 0.0) and np.all(draws <= 1.0)
             assert np.mean(draws) == pytest.approx(mean, abs=tolerance)
 
@@ -151,10 +141,10 @@ class TestNoise:
         assert np.mean(deviations) == pytest.approx(0.0, abs=0.01)
 
     def test_bad_noise_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NoiseModel(kind="gaussian")
-        with pytest.raises(ConfigurationError):
-            NoiseModel(width=-0.1)
+        with pytest.raises(ConfigError, match="agents.noise"):
+            ExperimentConfig(noise_kind="gaussian")
+        with pytest.raises(ConfigError, match="agents.noise_width"):
+            ExperimentConfig(noise_width=-0.1)
 
 
 class TestSampleSimplex:
@@ -186,33 +176,44 @@ class TestRandomPopulation:
     """The linear population a synthetic run draws: theta uniform on [0, 1]^dim."""
 
     @staticmethod
-    def specs(**overrides):
-        config = ExperimentConfig(horizon=5, master_seed=1, **overrides)
-        return run_single(config, 0).agent_specs
+    def run(**overrides):
+        config = ExperimentConfig(horizon=300, master_seed=1, **overrides)
+        return run_single(config, 0)
+
+    @staticmethod
+    def truthful_answers(run):
+        rounds = np.arange(len(run))
+        return run.utilities[rounds, run.allocated] >= run.comparison_prices
 
     def test_shapes_and_defaults(self):
-        specs = self.specs(n_agents=5, dim=3)
-        assert len(specs) == 5
-        for spec in specs:
-            assert spec.theta.shape == (3,)
-            assert np.all(spec.theta >= 0.0) and np.all(spec.theta <= 1.0)
-            assert spec.strategy == Strategy()
+        run = self.run(n_agents=5, dim=3)
+        thetas = thetas_of(run)
+        assert thetas.shape == (5, 3)
+        assert np.all(thetas >= 0.0) and np.all(thetas <= 1.0)
+        np.testing.assert_allclose(
+            run.true_means, np.einsum("tnd,nd->tn", run.contexts, thetas), rtol=1e-12
+        )
+        # Without a deviant every agent reports truthfully.
+        np.testing.assert_array_equal(run.reports, self.truthful_answers(run))
 
     def test_deviant_gets_the_strategy(self):
-        specs = self.specs(
-            n_agents=4, dim=2, deviant_index=2, deviant_strategy="always_high"
+        run = self.run(n_agents=4, dim=2, deviant_index=2, deviant_strategy="always_high")
+        deviant = run.allocated == 2
+        assert deviant.any() and not deviant.all()
+        assert np.all(run.reports[deviant])
+        np.testing.assert_array_equal(
+            run.reports[~deviant], self.truthful_answers(run)[~deviant]
         )
-        assert specs[2].strategy == Strategy(kind="always_high")
-        assert all(specs[i].strategy == Strategy() for i in (0, 1, 3))
 
     def test_deviant_does_not_change_thetas(self):
-        truthful = self.specs(n_agents=4, dim=2)
-        deviating = self.specs(
+        truthful = self.run(n_agents=4, dim=2)
+        deviating = self.run(
             n_agents=4, dim=2, deviant_index=1, deviant_strategy="always_low"
         )
-        for a, b in zip(truthful, deviating):
-            np.testing.assert_array_equal(a.theta, b.theta)
+        np.testing.assert_array_equal(thetas_of(truthful), thetas_of(deviating))
+        np.testing.assert_array_equal(truthful.contexts, deviating.contexts)
+        np.testing.assert_array_equal(truthful.true_means, deviating.true_means)
 
     def test_deviant_index_validated(self):
-        with pytest.raises(ConfigError):
-            self.specs(n_agents=3, dim=2, deviant_index=5, deviant_strategy="always_high")
+        with pytest.raises(ConfigError, match="agents.deviant_index"):
+            ExperimentConfig(n_agents=3, dim=2, deviant_index=5, deviant_strategy="always_high")

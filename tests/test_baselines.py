@@ -5,8 +5,13 @@ from feedauction.baselines import direct_regression_round, oracle_round, uniform
 from feedauction.core import ConfigurationError, derive_stream
 from feedauction.experiment import run_metadata, run_single
 from feedauction.config import ExperimentConfig
-from feedauction.mechanism import MechanismState, ScheduleSpec
+from feedauction.mechanism import MechanismState
 from feedauction.metrics import build_series, loglog_tail_slope, welfare_regret
+
+
+def new_state(n_agents, seed, **changes):
+    config = ExperimentConfig(n_agents=n_agents, **changes)
+    return MechanismState.create(config, 2, seed)
 
 
 class CountingOracle:
@@ -51,14 +56,12 @@ class TestOracleRound:
 
 class TestDirectRegressionRound:
     def test_requires_utility_target(self):
-        schedule = ScheduleSpec(kind="slow", n_agents=2)
-        state = MechanismState.create(2, 2, schedule, 5)  # report target
+        state = new_state(2, 5)  # feedback: trains on the report
         with pytest.raises(ConfigurationError):
             direct_regression_round(state, np.full((2, 2), 0.5), CountingOracle([0.5, 0.5]))
 
     def test_trains_on_realized_utility(self):
-        schedule = ScheduleSpec(kind="slow", n_agents=2)
-        state = MechanismState.create(2, 2, schedule, 5, regression_target="utility")
+        state = new_state(2, 5, mechanism="direct_regression")
         oracle = CountingOracle([0.73, 0.4])
         record = direct_regression_round(state, np.full((2, 2), 0.5), oracle)
         assert record.explored  # t=1 is floored at full exploration
@@ -71,8 +74,7 @@ class TestDirectRegressionRound:
         np.testing.assert_allclose(model.moment, [expected, expected])
 
     def test_feedback_state_never_reads_utilities(self):
-        schedule = ScheduleSpec(kind="slow", n_agents=2)
-        state = MechanismState.create(2, 2, schedule, 5)
+        state = new_state(2, 5)
         oracle = CountingOracle([0.73, 0.4])
         from feedauction.mechanism import run_round
 
@@ -83,8 +85,7 @@ class TestDirectRegressionRound:
 
 class TestUniformRound:
     def test_free_random_allocation(self):
-        schedule = ScheduleSpec(kind="slow", n_agents=3)
-        state = MechanismState.create(3, 2, schedule, 8)
+        state = new_state(3, 8, mechanism="uniform")
         coin = state.coin_stream.gen.bit_generator.state
         seen = set()
         for _ in range(300):
@@ -98,8 +99,7 @@ class TestUniformRound:
         assert all(model.sample_count == 0 for model in state.models)
 
     def test_fixed_price_distribution(self):
-        schedule = ScheduleSpec(kind="slow", n_agents=3)
-        state = MechanismState.create(3, 2, schedule, 8, price_distribution="fixed:0.25")
+        state = new_state(3, 8, mechanism="uniform", price_distribution="fixed:0.25")
         oracle = CountingOracle([0.1, 0.5, 0.9])
         for _ in range(20):
             record = uniform_round(state, oracle)
@@ -114,9 +114,8 @@ class TestUniformRound:
         contexts = np.full((3, 2), 0.5)
         oracle = CountingOracle([0.8, 0.5, 0.2])
 
-        schedule = ScheduleSpec(kind="constant", n_agents=3, eta_constant=1.0)
-        mech = MechanismState.create(3, 2, schedule, seed)
-        uni = MechanismState.create(3, 2, schedule, seed)
+        mech = new_state(3, seed, schedule_kind="constant", eta_constant=1.0)
+        uni = new_state(3, seed, mechanism="uniform")
         from feedauction.mechanism import run_round
 
         for _ in range(200):

@@ -285,6 +285,51 @@ class TestReportCommand:
         assert str(ledger) in err and repr(missing) in err
         assert not report_dir.exists()
 
+    @staticmethod
+    def report_on_second_row(tmp_path, **row):
+        # A two-round ledger whose second row takes ``row``'s values.
+        second = {"t": 2, "allocated_agent": 1, "welfare_regret_increment": 0.1,
+                  "revenue_regret_increment": 0.0}
+        second.update(row)
+        lines = [
+            {
+                "schema": "feedauction.run.v1",
+                "n_rounds": 2,
+                "config": {"mechanism": "feedback", "agents.count": 3},
+            },
+            {"t": 1, "allocated_agent": 0, "welfare_regret_increment": 0.0,
+             "revenue_regret_increment": 0.0},
+            second,
+        ]
+        ledger = tmp_path / "bad_value.jsonl"
+        ledger.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        report_dir = tmp_path / "report"
+        code = main(["report", str(ledger), "--out", str(report_dir)])
+        assert not report_dir.exists()
+        return code, str(ledger)
+
+    @pytest.mark.parametrize("winner", [-1, 3], ids=["negative", "agents.count"])
+    def test_winner_outside_the_population_exits_3(self, tmp_path, capsys, winner):
+        # -1 used to end in an np.bincount traceback, and agents.count used to
+        # widen the welfare-loss histogram by a phantom agent.
+        code, ledger = self.report_on_second_row(tmp_path, allocated_agent=winner)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [data]")
+        assert ledger in err and f"round 2 allocates agent {winner}" in err
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("welfare_regret_increment", float("nan")), ("revenue_regret_increment", float("inf"))],
+    )
+    def test_non_finite_increment_exits_3(self, tmp_path, capsys, column, value):
+        # These used to be averaged into nan and inf CSV rows with exit 0.
+        code, ledger = self.report_on_second_row(tmp_path, **{column: value})
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [data]")
+        assert ledger in err and f"round 2 has {column} {value}" in err
+
 
 class TestErrorCategories:
     @pytest.mark.parametrize("mechanism", ["feedback", "direct_regression", "uniform", "oracle"])

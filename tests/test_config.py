@@ -1,6 +1,10 @@
+import re
+
 import pytest
 
-from feedauction.config import ConfigError, ExperimentConfig, parse_flat_text
+from feedauction.config import _KEY_SPECS, ConfigError, ExperimentConfig, parse_flat_text
+
+CONFIG_KEY = {attr: key for key, (attr, _) in _KEY_SPECS.items()}
 
 SAMPLE = """
 # moderation experiment, slow schedule
@@ -93,18 +97,32 @@ class TestValidate:
             dict(data_source="csv", data_path=None),
             dict(pca_components=0),
             dict(n_seeds=0),
+            # What the schedule and noise types checked before the config
+            # became their one owner.
+            dict(mechanism="uniform", n_agents=0),
+            dict(epsilon=-0.5),
+            dict(schedule_kind="constant", eta_constant=-0.1),
+            dict(floor_rounds=-3),
+            dict(noise_kind="bernoulli", noise_width=-0.1),
+            # NaN passed every ordered comparison: a nan epsilon explored every
+            # round, and a nan noise width made every utility nan.
+            dict(epsilon=float("nan")),
+            dict(epsilon=float("inf")),
+            dict(noise_width=float("nan")),
         ],
     )
     def test_rejections(self, changes):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(**changes).validate()
+        # Raised when the config is built, naming the key of the bad value
+        # (the last one changed).
+        key = CONFIG_KEY[list(changes)[-1]]
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            ExperimentConfig(**changes)
 
     @pytest.mark.parametrize("rule", ["bogus", "fixed", "fixed:1.5", "fixed:nan", "gaussian:0.5"])
     @pytest.mark.parametrize("mechanism", ["feedback", "direct_regression", "uniform", "oracle"])
     def test_price_distribution_checked_for_every_mechanism(self, mechanism, rule):
-        config = ExperimentConfig(mechanism=mechanism, price_distribution=rule)
         with pytest.raises(ConfigError, match="exploration.price_distribution"):
-            config.validate()
+            ExperimentConfig(mechanism=mechanism, price_distribution=rule)
 
     def test_price_distributions_accepted(self):
         for rule in ("uniform", "fixed:0", "fixed:0.5", "fixed:1"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from feedauction.config import ExperimentConfig
-from feedauction.core import derive_seed
+from feedauction.core import derive_seed, derive_stream
 from feedauction.dataio import CATEGORIES, generate_synthetic_dataset
 from feedauction.experiment import (
     PreparedDataset,
@@ -48,21 +48,29 @@ class TestDeterminism:
             np.testing.assert_array_equal(run.true_means, reference.true_means)
             np.testing.assert_array_equal(run.utilities, reference.utilities)
 
+    @staticmethod
+    def thetas(run):
+        # The linear coefficients that explain the run's true means exactly.
+        return np.stack(
+            [
+                np.linalg.lstsq(run.contexts[:, i], run.true_means[:, i], rcond=None)[0]
+                for i in range(run.config.n_agents)
+            ]
+        )
+
     def test_theta_seed_pins_the_population_across_seed_indices(self):
         config = small_config(theta_seed=5)
         a, b = run_single(config, 0), run_single(config, 1)
-        for spec_a, spec_b in zip(a.agent_specs, b.agent_specs):
-            np.testing.assert_array_equal(spec_a.theta, spec_b.theta)
+        pinned = derive_stream(5, "population/theta").random((4, 3))
+        np.testing.assert_allclose(self.thetas(a), pinned, atol=1e-12)
+        np.testing.assert_allclose(self.thetas(b), pinned, atol=1e-12)
         # Contexts still vary by seed index.
         assert not np.array_equal(a.true_means, b.true_means)
 
     def test_default_population_varies_by_seed_index(self):
         config = small_config()
         a, b = run_single(config, 0), run_single(config, 1)
-        assert any(
-            not np.array_equal(x.theta, y.theta)
-            for x, y in zip(a.agent_specs, b.agent_specs)
-        )
+        assert not np.allclose(self.thetas(a), self.thetas(b), atol=1e-6)
 
 
 class TestRunShapes:
@@ -207,10 +215,18 @@ class TestDatasetWorlds:
         with pytest.raises(ValueError, match="examples"):
             run_single(self.toxic_config(), 0)
 
-    def test_sensitivity_population_cycles_categories(self, prepared):
+    def test_sensitivity_population_cycles_categories(self, corpus, prepared):
+        # Agent i is harmed by category i % 6, so agents 6 and 7 wrap around
+        # to the first two categories, "toxic" and "severe_toxic".
+        assert list(CATEGORIES[:2]) == ["toxic", "severe_toxic"]
         run = run_single(self.toxic_config(n_agents=8), 0, prepared)
-        labels = [spec.sensitivity_label for spec in run.agent_specs]
-        assert labels == list(CATEGORIES) + ["toxic", "severe_toxic"]
+        draws = derive_stream(run.run_seed, "world/examples").integers(
+            500, size=(len(run), 8)
+        )
+        label_matrix = np.array([e.labels for e in corpus])
+        for agent in range(8):
+            harmed = label_matrix[draws[:, agent], agent % len(CATEGORIES)]
+            np.testing.assert_array_equal(run.utilities[:, agent], 1.0 - harmed)
 
     def test_utilities_are_binary_and_equal_means(self, prepared):
         run = run_single(self.toxic_config(), 0, prepared)

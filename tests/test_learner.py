@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedauction.agents import NoiseModel, sample_simplex, utility_from_uniform
+from feedauction.agents import sample_simplex, utility_from_uniform
 from feedauction.core import DimensionMismatchError, derive_stream
 from feedauction.learner import ValueModel, estimate_mean_from_reports
 
@@ -110,14 +110,13 @@ def test_held_out_error_improves_as_samples_double():
     # Mean held-out squared error over 20 seeds should not increase when the
     # training set doubles.
     sizes = [100, 200, 400, 800]
-    noise = NoiseModel("truncated_uniform", 0.2)
     errors = np.zeros(len(sizes))
     for seed in range(20):
         theta = derive_stream(seed, "theta").random(4)
         contexts = sample_simplex(derive_stream(seed, "w"), (sizes[-1],), 4)
         means = contexts @ theta
         utilities = utility_from_uniform(
-            means, derive_stream(seed, "u").random(sizes[-1]), noise
+            means, derive_stream(seed, "u").random(sizes[-1]), "truncated_uniform", 0.2
         )
         prices = derive_stream(seed, "c").random(sizes[-1])
         answers = (utilities >= prices).astype(float)
@@ -135,11 +134,12 @@ def test_held_out_error_improves_as_samples_double():
 def test_report_and_utility_regressions_agree_closely():
     # With uniform comparison prices the yes/no answers have the same
     # conditional mean as the utilities, so the two fits converge together.
-    noise = NoiseModel("truncated_uniform", 0.2)
     theta = derive_stream(0, "theta").random(5)
     contexts = sample_simplex(derive_stream(0, "w"), (20_000,), 5)
     means = contexts @ theta
-    utilities = utility_from_uniform(means, derive_stream(0, "u").random(20_000), noise)
+    utilities = utility_from_uniform(
+        means, derive_stream(0, "u").random(20_000), "truncated_uniform", 0.2
+    )
     prices = derive_stream(0, "c").random(20_000)
     answers = (utilities >= prices).astype(float)
     from_reports = ValueModel(5)

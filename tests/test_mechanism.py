@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedauction.core import ConfigurationError, DimensionMismatchError
-from feedauction.learner import ValueModel
+from feedauction.config import ConfigError, ExperimentConfig
+from feedauction.core import DimensionMismatchError
 from feedauction.mechanism import (
     MechanismState,
-    ScheduleSpec,
     exploration_rate,
     run_round,
     second_price,
@@ -42,12 +41,24 @@ class PinnedModel:
         self.sample_count += 1
 
 
-def pinned_state(n_agents, priors, *, eta_constant=1e-12, seed=77, **kwargs):
-    # Fixed predictions make the exploitation branch fully scripted.
-    schedule = ScheduleSpec(
-        kind="constant", n_agents=n_agents, eta_constant=eta_constant, floor_rounds=1
+def schedule(kind, n_agents, **changes):
+    # A config that differs from the defaults only in its schedule; a lone
+    # agent is allowed only under the uniform mechanism.
+    mechanism = "uniform" if n_agents == 1 else "feedback"
+    return ExperimentConfig(
+        schedule_kind=kind, n_agents=n_agents, mechanism=mechanism, **changes
     )
-    state = MechanismState.create(n_agents, 2, schedule, seed, **kwargs)
+
+
+def new_state(n_agents, dim, seed, kind="slow", **changes):
+    return MechanismState.create(schedule(kind, n_agents, **changes), dim, seed)
+
+
+def pinned_state(n_agents, priors, *, eta_constant=1e-12, seed=77, **changes):
+    # Fixed predictions make the exploitation branch fully scripted.
+    state = new_state(
+        n_agents, 2, seed, "constant", eta_constant=eta_constant, floor_rounds=1, **changes
+    )
     state.models = [PinnedModel(p) for p in priors]
     state.t = 2  # past the floor, so the constant rate applies
     return state
@@ -58,56 +69,58 @@ def flat_contexts(n_agents):
 
 
 class TestScheduleSpec:
+    """The schedule's config keys are checked when the config is built."""
+
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScheduleSpec(kind="geometric", n_agents=2)
+        with pytest.raises(ConfigError, match="schedule.kind"):
+            schedule("geometric", 2)
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScheduleSpec(kind="slow", n_agents=0)
-        with pytest.raises(ConfigurationError):
-            ScheduleSpec(kind="slow", n_agents=2, epsilon=0.0)
-        with pytest.raises(ConfigurationError):
-            ScheduleSpec(kind="constant", n_agents=2, eta_constant=0.0)
-        with pytest.raises(ConfigurationError):
-            ScheduleSpec(kind="constant", n_agents=2, eta_constant=1.2)
-        with pytest.raises(ConfigurationError):
-            ScheduleSpec(kind="slow", n_agents=2, floor_rounds=0)
+        with pytest.raises(ConfigError, match="agents.count"):
+            schedule("slow", 0)
+        with pytest.raises(ConfigError, match="schedule.epsilon"):
+            schedule("slow", 2, epsilon=0.0)
+        with pytest.raises(ConfigError, match="schedule.eta"):
+            schedule("constant", 2, eta_constant=0.0)
+        with pytest.raises(ConfigError, match="schedule.eta"):
+            schedule("constant", 2, eta_constant=1.2)
+        with pytest.raises(ConfigError, match="schedule.floor_rounds"):
+            schedule("slow", 2, floor_rounds=0)
 
 
 class TestExplorationRate:
     def test_round_index_must_be_positive(self):
         with pytest.raises(ValueError):
-            exploration_rate(ScheduleSpec(kind="slow", n_agents=2), 0)
+            exploration_rate(schedule("slow", 2), 0)
 
     def test_floor_forces_full_exploration_for_every_kind(self):
         for kind in ("slow", "fast", "constant"):
-            spec = ScheduleSpec(kind=kind, n_agents=10)
+            spec = schedule(kind, 10)
             for t in (1, 2, 3):
                 assert exploration_rate(spec, t) == 1.0
 
     def test_constant_kind_returns_the_configured_rate(self):
-        spec = ScheduleSpec(kind="constant", n_agents=5, eta_constant=0.1)
+        spec = schedule("constant", 5, eta_constant=0.1)
         assert exploration_rate(spec, 4) == 0.1
         assert exploration_rate(spec, 10**6) == 0.1
 
     def test_pinned_slow_value(self):
         # Frozen against a 40-digit arbitrary-precision evaluation of
         # min(1, t^(-1/3) (n ln t)^((1+2*0.05)/3)) at t=1000, n=10.
-        spec = ScheduleSpec(kind="slow", n_agents=10)
+        spec = schedule("slow", 10)
         assert exploration_rate(spec, 1000) == pytest.approx(
             0.4725236455569643, rel=1e-12
         )
 
     def test_pinned_fast_value(self):
         # Same oracle, min(1, t^(-1/2) (n ln t)^((1+0.05)/2)) at t=1000, n=10.
-        spec = ScheduleSpec(kind="fast", n_agents=10)
+        spec = schedule("fast", 10)
         assert exploration_rate(spec, 1000) == pytest.approx(
             0.2921809489772023, rel=1e-12
         )
 
     def test_rate_capped_at_one_for_crowded_populations(self):
-        spec = ScheduleSpec(kind="slow", n_agents=100)
+        spec = schedule("slow", 100)
         assert exploration_rate(spec, 1000) == 1.0
 
     @given(
@@ -118,7 +131,7 @@ class TestExplorationRate:
     )
     @settings(max_examples=200, deadline=None)
     def test_rate_is_non_increasing_and_bounded(self, kind, n_agents, t1, t2):
-        spec = ScheduleSpec(kind=kind, n_agents=n_agents)
+        spec = schedule(kind, n_agents)
         low, high = sorted((t1, t2))
         r_low, r_high = exploration_rate(spec, low), exploration_rate(spec, high)
         assert 0.0 <= r_high <= r_low <= 1.0
@@ -179,8 +192,7 @@ class TestRunRound:
         assert state.models[1].sample_count == 0
 
     def test_first_round_explores_for_free(self):
-        schedule = ScheduleSpec(kind="slow", n_agents=3)
-        state = MechanismState.create(3, 2, schedule, 123)
+        state = new_state(3, 2, 123)
         record = run_round(state, flat_contexts(3), ScriptedOracle(lambda a, c: c < 0.5))
         assert record.explored
         assert record.payment == 0.0
@@ -200,8 +212,7 @@ class TestRunRound:
             run_round(state, np.ones((3, 2)), ScriptedOracle(lambda a, c: True))
 
     def test_exploration_winner_frequencies_are_uniform(self):
-        schedule = ScheduleSpec(kind="constant", n_agents=3, eta_constant=1.0)
-        state = MechanismState.create(3, 2, schedule, 2024)
+        state = new_state(3, 2, 2024, "constant", eta_constant=1.0)
         contexts = flat_contexts(3)
         oracle = ScriptedOracle(lambda a, c: c < 0.5)
         counts = np.zeros(3)
@@ -213,12 +224,12 @@ class TestRunRound:
         # 50 seeds of 2000 rounds at a constant rate; the first three rounds
         # are floored at 1, which the expectation accounts for.
         rate, horizon, seeds = 0.1, 2000, 50
-        schedule = ScheduleSpec(kind="constant", n_agents=2, eta_constant=rate)
+        config = schedule("constant", 2, eta_constant=rate)
         oracle = ScriptedOracle(lambda a, c: c < 0.5)
         contexts = flat_contexts(2)
         explored = 0
         for seed in range(seeds):
-            state = MechanismState.create(2, 2, schedule, seed)
+            state = MechanismState.create(config, 2, seed)
             for _ in range(horizon):
                 explored += run_round(state, contexts, oracle).explored
         total = seeds * horizon
@@ -227,8 +238,7 @@ class TestRunRound:
         assert abs(explored / total - expected) < 3 * stderr
 
     def test_payment_never_exceeds_winner_estimate(self):
-        schedule = ScheduleSpec(kind="constant", n_agents=3, eta_constant=0.5)
-        state = MechanismState.create(3, 3, schedule, 31)
+        state = new_state(3, 3, 31, "constant", eta_constant=0.5)
         rng = np.random.Generator(np.random.PCG64(9))
         oracle = ScriptedOracle(lambda a, c: c < 0.4)
         for _ in range(600):
@@ -246,8 +256,7 @@ class TestRunRound:
         # answers must produce identical ledgers: the only agent channel the
         # mechanism has is the comparison report.
         def play(utilities):
-            schedule = ScheduleSpec(kind="slow", n_agents=3)
-            state = MechanismState.create(3, 3, schedule, 58)
+            state = new_state(3, 3, 58)
             oracle = ScriptedOracle(
                 lambda a, c: (a + int(c * 100)) % 3 == 0, utilities=utilities
             )
@@ -268,8 +277,7 @@ class TestRunRound:
         # so two runs sharing a master seed explore at the same rounds with
         # the same winners and prices even if every report differs.
         def play(answer):
-            schedule = ScheduleSpec(kind="slow", n_agents=3)
-            state = MechanismState.create(3, 2, schedule, 99)
+            state = new_state(3, 2, 99)
             oracle = ScriptedOracle(lambda a, c: answer)
             rows = []
             for _ in range(300):
@@ -288,22 +296,21 @@ class TestRunRound:
 
 class TestMechanismState:
     def test_model_count_must_match_schedule(self):
-        schedule = ScheduleSpec(kind="slow", n_agents=3)
-        with pytest.raises(ConfigurationError):
-            MechanismState(
-                models=[ValueModel(2)],
-                schedule=schedule,
-                coin_stream=None,
-                agent_stream=None,
-                price_stream=None,
-            )
+        # The state takes its agent count from the config it plays, so the
+        # models cannot disagree with the schedule's population.
+        state = new_state(3, 4, 1)
+        assert state.config.n_agents == 3
+        assert len(state.models) == 3
+        assert all(model.dim == 4 and model.sample_count == 0 for model in state.models)
+        assert state.refresh_estimates(np.full((3, 4), 0.25)).shape == (3,)
 
     def test_bad_policy_and_target_rejected(self):
-        schedule = ScheduleSpec(kind="slow", n_agents=2)
-        with pytest.raises(ConfigurationError):
-            MechanismState.create(2, 2, schedule, 1, training_policy="sometimes")
-        with pytest.raises(ConfigurationError):
-            MechanismState.create(2, 2, schedule, 1, regression_target="rank")
+        # The training policy is checked when the config is built; the
+        # training target follows the mechanism, so no bad target can exist.
+        with pytest.raises(ConfigError, match="training.policy"):
+            schedule("slow", 2, training_policy="sometimes")
+        with pytest.raises(ConfigError, match="mechanism"):
+            ExperimentConfig(mechanism="rank_regression")
 
     def test_fixed_price_distribution(self):
         state = pinned_state(2, [0.9, 0.5], eta_constant=1.0, price_distribution="fixed:0.3")
@@ -312,8 +319,7 @@ class TestMechanismState:
         assert record.comparison_price == 0.3
 
     def test_bad_price_distribution_rejected(self):
-        schedule = ScheduleSpec(kind="slow", n_agents=2)
-        with pytest.raises(ConfigurationError):
-            MechanismState.create(2, 2, schedule, 1, price_distribution="fixed:1.5")
-        with pytest.raises(ConfigurationError):
-            MechanismState.create(2, 2, schedule, 1, price_distribution="gaussian")
+        with pytest.raises(ConfigError, match="exploration.price_distribution"):
+            schedule("slow", 2, price_distribution="fixed:1.5")
+        with pytest.raises(ConfigError, match="exploration.price_distribution"):
+            schedule("slow", 2, price_distribution="gaussian")
