@@ -95,27 +95,33 @@ def utility_from_uniform(mean, uniform, kind: str, width: float):
     return out
 
 
-def report(strategy: Strategy, utility: float, price: float, stream: RngStream | None = None) -> bool:
+def report(strategy: Strategy, utility, price, stream: RngStream | None = None):
     """Answer the comparison query "is your utility at least ``price``?".
 
     Only the ``random`` strategy consumes randomness; every other kind is a
     deterministic function of (utility, price), so truthful populations draw
     nothing here and stay aligned across paired runs.
+
+    Vectorized: ``utility`` and ``price`` may be 1-d arrays of one length,
+    one query per element in round order; the answers are then a bool array,
+    and ``random`` draws one uniform per query, as that many scalar calls
+    would.
     """
     kind = strategy.kind
     if kind == "truthful":
         return utility >= price
-    if kind == "always_high":
-        return True
-    if kind == "always_low":
-        return False
     if kind == "inverted":
         return utility < price
     if kind == "threshold_shift":
         return utility >= price + strategy.param
-    if stream is None:
-        raise ConfigurationError("random strategy needs an RNG stream")
-    return bool(stream.random() < strategy.param)
+    size = np.size(utility) if np.ndim(utility) else None
+    if kind == "random":
+        if stream is None:
+            raise ConfigurationError("random strategy needs an RNG stream")
+        answer = stream.random(size) < strategy.param
+        return answer if size is not None else bool(answer)
+    answer = kind == "always_high"
+    return np.full(size, answer) if size is not None else answer
 
 
 def sample_simplex(stream: RngStream, shape: tuple[int, ...], dim: int) -> np.ndarray:

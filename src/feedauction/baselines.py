@@ -39,7 +39,7 @@ def oracle_round(true_means: np.ndarray, oracle: RoundOracle) -> RoundRecord:
 
 
 def direct_regression_round(
-    state: MechanismState, contexts: np.ndarray, oracle: RoundOracle
+    state: MechanismState, contexts: np.ndarray, oracle: RoundOracle, explored: bool
 ) -> RoundRecord:
     """One round of the exact-value regression baseline.
 
@@ -52,7 +52,7 @@ def direct_regression_round(
         raise ConfigurationError(
             "direct regression needs a state whose config has mechanism = direct_regression"
         )
-    return run_round(state, contexts, oracle)
+    return run_round(state, contexts, oracle, explored)
 
 
 def uniform_round(state: MechanismState, oracle: RoundOracle) -> RoundRecord:

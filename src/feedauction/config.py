@@ -14,6 +14,7 @@ directly; a bad value raises :class:`ConfigError` naming its key.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
@@ -62,6 +63,13 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        for key, (attr, caster) in _KEY_SPECS.items():
+            value = getattr(self, attr)
+            kind, label = _VALUE_TYPES[caster]
+            if value is None and caster in (_as_optional_int, _as_optional_str):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{key} must be {label}, got {value!r}")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.mechanism not in MECHANISMS:
@@ -180,6 +188,16 @@ _KEY_SPECS: dict[str, tuple[str, Any]] = {
     "seeds.master": ("master_seed", int),
     "seeds.count": ("n_seeds", int),
     "output.dir": ("output_dir", str),
+}
+
+# The value type each caster yields, which a config built from keywords must
+# match too; a bool is never taken for a number.
+_VALUE_TYPES: dict[Any, tuple[type, str]] = {
+    int: (numbers.Integral, "an integer"),
+    _as_optional_int: (numbers.Integral, "an integer or none"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+    _as_optional_str: (str, "a string or none"),
 }
 
 _ATTRS = {attr for attr, _ in _KEY_SPECS.values()}

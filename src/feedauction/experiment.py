@@ -24,12 +24,13 @@ from .baselines import direct_regression_round, oracle_round, uniform_round
 from .config import ExperimentConfig
 from .core import CODE_VERSION, RngStream, RoundRecord, derive_seed, derive_stream
 from .dataio import CATEGORIES, FeatureScaler, LabeledExample, pca_fit, pca_transform
-from .mechanism import MechanismState, exploration_rate, run_round
+from .mechanism import MechanismState, exploit_stretch, exploration_rate, run_round
 from .metrics import oracle_prices
 
 __all__ = [
     "PreparedDataset",
     "RunResult",
+    "exploration_schedule",
     "paired_deviation_runs",
     "prepare_dataset",
     "run_metadata",
@@ -66,29 +67,50 @@ class RunResult:
         return self.allocated.shape[0]
 
 
-class _PopulationOracle:
-    """Answers per-round comparison queries on behalf of the agents.
+_TRUTHFUL = Strategy()
 
-    The driver points ``utilities_now`` at the current round's realized
-    utilities before each mechanism call. Only the ``random`` reporting
-    strategy consumes stream randomness, so truthful populations keep their
-    report streams untouched.
+
+class _PopulationOracle:
+    """Answers comparison queries on behalf of the agents.
+
+    Every agent but ``deviant`` (``None`` for none) reports truthfully. The
+    driver points ``utilities_now`` at the current round's realized
+    utilities before each per-round mechanism call. Only the ``random``
+    reporting strategy consumes stream randomness, so truthful populations
+    keep the deviant's report stream untouched.
     """
 
-    __slots__ = ("strategies", "report_streams", "utilities_now")
+    __slots__ = ("deviant", "strategy", "report_stream", "utilities_now")
 
-    def __init__(self, strategies: list[Strategy], report_streams: list[RngStream]) -> None:
-        self.strategies = strategies
-        self.report_streams = report_streams
+    def __init__(
+        self, deviant: int | None, strategy: Strategy, report_stream: RngStream | None
+    ) -> None:
+        self.deviant = deviant
+        self.strategy = strategy
+        self.report_stream = report_stream
         self.utilities_now: np.ndarray | None = None
 
     def compare(self, agent: int, price: float) -> bool:
-        return report(
-            self.strategies[agent],
-            float(self.utilities_now[agent]),
-            price,
-            self.report_streams[agent],
-        )
+        utility = float(self.utilities_now[agent])
+        if agent == self.deviant:
+            return report(self.strategy, utility, price, self.report_stream)
+        return report(_TRUTHFUL, utility, price)
+
+    def compare_stretch(
+        self, utilities: np.ndarray, winners: np.ndarray, prices: np.ndarray
+    ) -> np.ndarray:
+        """Each round's winner asked at its price, over a (rounds, agents) block.
+
+        One ``report`` for every winner, then one more for the deviant's
+        rounds, so a ``random`` deviant draws in round order.
+        """
+        won = utilities[np.arange(winners.size), winners]
+        answers = report(_TRUTHFUL, won, prices)
+        if self.deviant is not None:
+            rows = winners == self.deviant
+            if rows.any():
+                answers[rows] = report(self.strategy, won[rows], prices[rows], self.report_stream)
+        return answers
 
     def utility(self, agent: int) -> float:
         return float(self.utilities_now[agent])
@@ -173,6 +195,18 @@ def _dataset_world(
     return contexts, utilities.copy(), utilities, dict(prepared.meta)
 
 
+def exploration_schedule(state: MechanismState, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The run's exploration rates and coins: ``(eta, explored)`` per round.
+
+    Each rate is the scalar :func:`exploration_rate` of its round; a
+    vectorised power is off by one ulp on some rounds, which can flip a
+    coin. The coins are one batched draw from the state's coin stream, which
+    gives the same values as one draw per round.
+    """
+    eta = np.array([exploration_rate(state.config, t) for t in range(1, horizon + 1)])
+    return eta, state.coin_stream.random(horizon) < eta
+
+
 def run_single(
     config: ExperimentConfig,
     seed_index: int,
@@ -202,51 +236,60 @@ def run_single(
         contexts, true_means, utilities = _synthetic_world(config, run_seed)
         scaler_meta = None
 
-    deviant_strategy = Strategy.parse(config.deviant_strategy)
+    deviant = config.deviant_index
     oracle = _PopulationOracle(
-        [deviant_strategy if i == config.deviant_index else Strategy() for i in range(n_agents)],
-        [derive_stream(run_seed, f"agents/report/{i}") for i in range(n_agents)],
+        deviant,
+        Strategy.parse(config.deviant_strategy),
+        None if deviant is None else derive_stream(run_seed, f"agents/report/{deviant}"),
     )
     oracle_second_prices = oracle_prices(true_means)
     allocated = np.empty(horizon, dtype=int)
     payments = np.empty(horizon)
     comparison_prices = np.empty(horizon)
-    explored = np.empty(horizon, dtype=bool)
     reports = np.empty(horizon, dtype=bool)
     estimates: np.ndarray | None = None
     final_models: list[dict[str, Any]] | None = None
+
+    def keep(ti: int, record: RoundRecord) -> None:
+        allocated[ti] = record.allocated_agent
+        payments[ti] = record.payment
+        comparison_prices[ti] = record.comparison_price
+        reports[ti] = record.report
 
     state = MechanismState.create(config, contexts.shape[2], run_seed)
     if config.mechanism in ("feedback", "direct_regression"):
         learned_round = run_round if config.mechanism == "feedback" else direct_regression_round
         estimates = np.empty((horizon, n_agents))
-        eta = np.array([exploration_rate(config, t) for t in range(1, horizon + 1)])
-
-        def play(ti: int) -> RoundRecord:
-            record = learned_round(state, contexts[ti], oracle)
-            estimates[ti] = state.last_estimates
-            return record
-
-    elif config.mechanism == "uniform":
-        eta = np.ones(horizon)
-
-        def play(ti: int) -> RoundRecord:
-            return uniform_round(state, oracle)
-
-    else:  # oracle: allocates on the true means and leaves the state unused
-        eta = np.zeros(horizon)
-
-        def play(ti: int) -> RoundRecord:
-            return oracle_round(true_means[ti], oracle)
-
-    for ti in range(horizon):
-        oracle.utilities_now = utilities[ti]
-        record = play(ti)
-        allocated[ti] = record.allocated_agent
-        payments[ti] = record.payment
-        comparison_prices[ti] = record.comparison_price
-        explored[ti] = record.explored
-        reports[ti] = record.report
+        eta, explored = exploration_schedule(state, horizon)
+        if config.training_policy == "exploration_only":
+            training = np.flatnonzero(explored).tolist()
+        else:
+            training = list(range(horizon))
+        start = 0
+        # The stretch of frozen-model rounds before each training round, then
+        # that round; ``horizon`` closes the last stretch.
+        for ti in training + [horizon]:
+            if start < ti:
+                rows = slice(start, ti)
+                estimates[rows], winners, prices = exploit_stretch(state, contexts[rows])
+                allocated[rows] = winners
+                payments[rows] = comparison_prices[rows] = prices
+                reports[rows] = oracle.compare_stretch(utilities[rows], winners, prices)
+            if ti < horizon:
+                oracle.utilities_now = utilities[ti]
+                keep(ti, learned_round(state, contexts[ti], oracle, bool(explored[ti])))
+                estimates[ti] = state.last_estimates
+            start = ti + 1
+    else:
+        uniform = config.mechanism == "uniform"
+        eta = np.ones(horizon) if uniform else np.zeros(horizon)
+        explored = np.full(horizon, uniform)
+        for ti in range(horizon):
+            oracle.utilities_now = utilities[ti]
+            if uniform:
+                keep(ti, uniform_round(state, oracle))
+            else:  # oracle: allocates on the true means and leaves the state unused
+                keep(ti, oracle_round(true_means[ti], oracle))
     if estimates is not None:
         final_models = [
             {"sample_count": m.sample_count, "coefficients": m.coefficients.tolist()}

@@ -8,6 +8,12 @@ runner-up estimate, which doubles as the comparison price. Reports from
 exploration rounds feed each agent's value model (optionally reports from all
 rounds, though non-uniform exploitation prices bias the identification).
 
+A model changes only in a round that trains it, so the rounds between two
+training rounds form a stretch of second-price auctions on frozen models.
+:func:`run_round` plays one round, training round or not, given its coin;
+:func:`exploit_stretch` plays a whole stretch at once from the stacked
+coefficients the state keeps next to its models.
+
 The mechanism observes agents only through a :class:`RoundOracle`: a yes/no
 comparison query. Realized utilities never enter any allocation, payment, or
 training decision of the feedback mechanism.
@@ -32,6 +38,7 @@ __all__ = [
     "TRAINING_POLICIES",
     "MechanismState",
     "RoundOracle",
+    "exploit_stretch",
     "exploration_rate",
     "parse_price_distribution",
     "run_round",
@@ -66,19 +73,25 @@ def exploration_rate(config: ExperimentConfig, t: int) -> float:
     return min(1.0, rate)
 
 
-def second_price(estimates: np.ndarray) -> tuple[int, float]:
+def second_price(estimates: np.ndarray):
     """Winner and runner-up value of a sealed-bid second-price auction.
 
     Returns the index of the highest estimate (lowest index wins ties) and
     the maximum over the remaining agents, which equals the second-largest
-    order statistic.
+    order statistic. A 1-d array is one auction and gives ``(int, float)``;
+    a 2-d array holds one auction per row and gives an index array and a
+    price array.
     """
     values = np.asarray(estimates, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError(f"need a 1-d array of >= 2 estimates, got shape {values.shape}")
-    winner = int(np.argmax(values))
-    price = float(np.partition(values, -2)[-2])
-    return winner, price
+    if values.ndim not in (1, 2) or values.shape[-1] < 2:
+        raise ValueError(
+            f"need >= 2 estimates per auction in a 1-d or 2-d array, got shape {values.shape}"
+        )
+    winners = values.argmax(axis=-1)
+    prices = np.partition(values, -2, axis=-1)[..., -2]
+    if values.ndim == 1:
+        return int(winners), float(prices)
+    return winners, prices
 
 
 def parse_price_distribution(text: str) -> float | None:
@@ -114,22 +127,27 @@ class RoundOracle(Protocol):
 
 @dataclass
 class MechanismState:
-    """Mutable cross-round state: value models, round counter and RNG streams.
+    """Mutable cross-round state: value models, stacked coefficients and RNG streams.
 
     The schedule, training policy, training target and price rule are read
-    from ``config``. The three streams are consumed in a fixed order each
-    round (one coin draw, then on exploration one winner draw and one price
-    draw), so two runs sharing a master seed stay aligned round for round
+    from ``config``. The coin stream is drawn once per round, by the run's
+    schedule; the agent and price streams once each per exploration round.
+    Two runs sharing a master seed therefore stay aligned round for round
     even when their agents report differently. The uniform baseline plays on
     the same state but draws no coin.
+
+    ``coefficients`` stacks the models' fitted coefficients, one row per
+    agent, and ``ready`` marks the agents whose models have ``min_samples``
+    samples; an agent that is not ready is estimated at the prior.
     """
 
     config: ExperimentConfig
     models: list[ValueModel]
+    coefficients: np.ndarray
+    ready: np.ndarray
     coin_stream: RngStream
     agent_stream: RngStream
     price_stream: RngStream
-    t: int = 1
     last_estimates: np.ndarray | None = field(default=None, repr=False)
     _fixed_price: float | None = field(init=False, repr=False)
 
@@ -142,18 +160,32 @@ class MechanismState:
         return cls(
             config=config,
             models=[ValueModel(dim) for _ in range(config.n_agents)],
+            coefficients=np.zeros((config.n_agents, dim)),
+            ready=np.zeros(config.n_agents, dtype=bool),
             coin_stream=derive_stream(master_seed, "mechanism/explore_coin"),
             agent_stream=derive_stream(master_seed, "mechanism/explore_agent"),
             price_stream=derive_stream(master_seed, "mechanism/comparison_price"),
         )
 
     def refresh_estimates(self, contexts: np.ndarray) -> np.ndarray:
-        """Refit any stale model once and predict every agent's value."""
+        """Predict every agent's value for one round's contexts."""
         estimates = np.empty(len(self.models))
         for i, model in enumerate(self.models):
             estimates[i] = model.predict(contexts[i])
         self.last_estimates = estimates
         return estimates
+
+    def train(self, agent: int, context: np.ndarray, target: float) -> None:
+        """Feed one sample to ``agent``'s model and restack it once it is ready.
+
+        The refit is eager, and made only for a ready model, so a run fits
+        as often as the lazy refit inside ``ValueModel.predict`` would.
+        """
+        model = self.models[agent]
+        model.ingest(context, target)
+        if model.sample_count >= model.min_samples:
+            self.coefficients[agent] = model.fit()
+            self.ready[agent] = True
 
     def _draw_comparison_price(self) -> float:
         if self._fixed_price is None:
@@ -167,11 +199,14 @@ def _explore(state: MechanismState) -> tuple[int, float]:
     return winner, state._draw_comparison_price()
 
 
-def run_round(state: MechanismState, contexts: np.ndarray, oracle: RoundOracle) -> RoundRecord:
+def run_round(
+    state: MechanismState, contexts: np.ndarray, oracle: RoundOracle, explored: bool
+) -> RoundRecord:
     """Play one auction round, updating ``state`` in place.
 
     ``contexts`` is the (n_agents, dim) block of request features for this
-    round. Returns the round's decisions; ground truth stays with the caller.
+    round and ``explored`` its coin, drawn by the run's schedule. Returns
+    the round's decisions; ground truth stays with the caller.
     """
     contexts = np.asarray(contexts, dtype=float)
     n_agents = len(state.models)
@@ -181,8 +216,6 @@ def run_round(state: MechanismState, contexts: np.ndarray, oracle: RoundOracle) 
         )
     estimates = state.refresh_estimates(contexts)
     config = state.config
-    rate = exploration_rate(config, state.t)
-    explored = bool(state.coin_stream.random() < rate)
     if explored:
         winner, comparison = _explore(state)
         payment = 0.0
@@ -195,13 +228,35 @@ def run_round(state: MechanismState, contexts: np.ndarray, oracle: RoundOracle) 
             target = float(oracle.utility(winner))
         else:
             target = float(answer)
-        state.models[winner].ingest(contexts[winner], target)
-    record = RoundRecord(
+        state.train(winner, contexts[winner], target)
+    return RoundRecord(
         allocated_agent=winner,
         explored=explored,
         comparison_price=comparison,
         report=answer,
         payment=payment,
     )
-    state.t += 1
-    return record
+
+
+def exploit_stretch(
+    state: MechanismState, contexts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Play a stretch of exploitation rounds on frozen models, all at once.
+
+    ``contexts`` is the stretch's (rounds, n_agents, dim) block. No model
+    trains inside a stretch, so every round is estimated from the stacked
+    coefficients, exactly as ``ValueModel.predict`` would: the prior for an
+    agent that is not ready, else the linear score clamped to [0, 1]. Returns
+    the (rounds, n_agents) estimates and each round's winner and second
+    price.
+    """
+    # Stacked (1, dim) @ (dim, 1) products take the same dot product as
+    # predict's ``coef @ context``, bit for bit; ``contexts @ coef`` and
+    # einsum sum in another order and differ in the last bit on many rows.
+    scores = np.matmul(contexts[:, :, None, :], state.coefficients[:, :, None])[..., 0, 0]
+    # predict's min(1.0, max(0.0, score)) maps -0.0 to 0.0, which
+    # np.maximum(0.0, score) does not.
+    clamped = np.where(scores > 0.0, np.minimum(scores, 1.0), 0.0)
+    estimates = np.where(state.ready, clamped, ValueModel.prior_estimate)
+    winners, prices = second_price(estimates)
+    return estimates, winners, prices

@@ -1,11 +1,21 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's own code paths: the Jacobi
-eigensolver checks the power-iteration PCA, and the dense least-squares
-solver checks the incremental sufficient-statistics fit.
+eigensolver checks the power-iteration PCA, the dense least-squares solver
+checks the incremental sufficient-statistics fit, and the per-round loop
+checks the engine that batches exploitation stretches.
 """
 
 import numpy as np
+
+from feedauction.agents import Strategy, report
+from feedauction.core import derive_stream
+from feedauction.mechanism import (
+    MechanismState,
+    exploration_rate,
+    parse_price_distribution,
+    second_price,
+)
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, sweeps: int = 100, tol: float = 1e-13) -> np.ndarray:
@@ -35,3 +45,56 @@ def dense_ridge_solve(design: np.ndarray, targets: np.ndarray, ridge: float) -> 
     """Ridge least squares assembled from raw samples with explicit inversion."""
     gram = design.T @ design + ridge * np.eye(design.shape[1])
     return np.linalg.inv(gram) @ (design.T @ targets)
+
+
+def per_round_reference(config, run):
+    """Replay a learned run with the per-round loop: coin, estimates and refit in each round.
+
+    The engine batches the exploitation rounds between training rounds; this
+    loop plays every round on its own, drawing the round's coin inside the
+    round and refitting models lazily through ``ValueModel.predict``, as the
+    engine did before it batched. It reads only the run's world (contexts,
+    utilities, run seed) and returns the decision columns and final models.
+    """
+    horizon, n_agents = config.horizon, config.n_agents
+    contexts, utilities = run.contexts, run.utilities
+    state = MechanismState.create(config, contexts.shape[2], run.run_seed)
+    fixed_price = parse_price_distribution(config.price_distribution)
+    deviant, deviant_strategy = config.deviant_index, Strategy.parse(config.deviant_strategy)
+    report_stream = None
+    if deviant is not None:
+        report_stream = derive_stream(run.run_seed, f"agents/report/{deviant}")
+    columns = {
+        "estimates": np.empty((horizon, n_agents)),
+        "allocated": np.empty(horizon, dtype=int),
+        "payments": np.empty(horizon),
+        "comparison_prices": np.empty(horizon),
+        "explored": np.empty(horizon, dtype=bool),
+        "reports": np.empty(horizon, dtype=bool),
+        "eta": np.empty(horizon),
+    }
+    for ti in range(horizon):
+        estimates = np.array([m.predict(c) for m, c in zip(state.models, contexts[ti])])
+        rate = exploration_rate(config, ti + 1)
+        explored = bool(state.coin_stream.random() < rate)
+        if explored:
+            winner = int(state.agent_stream.integers(n_agents))
+            price = float(state.price_stream.random()) if fixed_price is None else fixed_price
+            payment = 0.0
+        else:
+            winner, price = second_price(estimates)
+            payment = price
+        utility = float(utilities[ti, winner])
+        strategy = deviant_strategy if winner == deviant else Strategy()
+        answer = bool(report(strategy, utility, price, report_stream))
+        if explored or config.training_policy == "all_allocations":
+            target = utility if config.mechanism == "direct_regression" else float(answer)
+            state.models[winner].ingest(contexts[ti, winner], target)
+        row = (estimates, winner, payment, price, explored, answer, rate)
+        for column, value in zip(columns.values(), row):
+            column[ti] = value
+    columns["final_models"] = [
+        {"sample_count": m.sample_count, "coefficients": m.coefficients.tolist()}
+        for m in state.models
+    ]
+    return columns

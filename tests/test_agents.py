@@ -76,6 +76,23 @@ class TestReport:
         report(Strategy(kind="threshold_shift", param=0.1), 0.6, 0.4, stream)
         assert np.array_equal(stream.random(4), baseline)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["truthful", "always_high", "always_low", "inverted", "threshold_shift:-0.2", "random:0.4"],
+    )
+    def test_arrays_answer_like_scalar_calls_in_order(self, text):
+        strategy = Strategy.parse(text)
+        rng = np.random.Generator(np.random.PCG64(11))
+        utilities, prices = rng.random(200), rng.random(200)
+        scalar_stream = derive_stream(7, "agents/report/0")
+        expected = [report(strategy, u, p, scalar_stream) for u, p in zip(utilities, prices)]
+        stream = derive_stream(7, "agents/report/0")
+        answers = report(strategy, utilities, prices, stream)
+        assert answers.dtype == bool and answers.shape == (200,)
+        assert answers.tolist() == expected
+        # Both streams are left at the same point.
+        assert stream.random() == scalar_stream.random()
+
 
 class TestAgentSpec:
     """A synthetic agent's expected utility is theta . w."""

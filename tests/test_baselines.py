@@ -3,15 +3,20 @@ import pytest
 
 from feedauction.baselines import direct_regression_round, oracle_round, uniform_round
 from feedauction.core import ConfigurationError, derive_stream
-from feedauction.experiment import run_metadata, run_single
+from feedauction.experiment import exploration_schedule, run_metadata, run_single
 from feedauction.config import ExperimentConfig
-from feedauction.mechanism import MechanismState
+from feedauction.mechanism import MechanismState, run_round
 from feedauction.metrics import build_series, loglog_tail_slope, welfare_regret
 
 
 def new_state(n_agents, seed, **changes):
     config = ExperimentConfig(n_agents=n_agents, **changes)
     return MechanismState.create(config, 2, seed)
+
+
+def coins(state, rounds):
+    # The explored flags of the first ``rounds`` rounds, from the run's schedule.
+    return exploration_schedule(state, rounds)[1]
 
 
 class CountingOracle:
@@ -58,12 +63,14 @@ class TestDirectRegressionRound:
     def test_requires_utility_target(self):
         state = new_state(2, 5)  # feedback: trains on the report
         with pytest.raises(ConfigurationError):
-            direct_regression_round(state, np.full((2, 2), 0.5), CountingOracle([0.5, 0.5]))
+            direct_regression_round(
+                state, np.full((2, 2), 0.5), CountingOracle([0.5, 0.5]), coins(state, 1)[0]
+            )
 
     def test_trains_on_realized_utility(self):
         state = new_state(2, 5, mechanism="direct_regression")
         oracle = CountingOracle([0.73, 0.4])
-        record = direct_regression_round(state, np.full((2, 2), 0.5), oracle)
+        record = direct_regression_round(state, np.full((2, 2), 0.5), oracle, coins(state, 1)[0])
         assert record.explored  # t=1 is floored at full exploration
         assert oracle.utility_calls == 1
         model = state.models[record.allocated_agent]
@@ -76,10 +83,8 @@ class TestDirectRegressionRound:
     def test_feedback_state_never_reads_utilities(self):
         state = new_state(2, 5)
         oracle = CountingOracle([0.73, 0.4])
-        from feedauction.mechanism import run_round
-
-        for _ in range(40):
-            run_round(state, np.full((2, 2), 0.5), oracle)
+        for explored in coins(state, 40):
+            run_round(state, np.full((2, 2), 0.5), oracle, explored)
         assert oracle.utility_calls == 0
 
 
@@ -116,10 +121,8 @@ class TestUniformRound:
 
         mech = new_state(3, seed, schedule_kind="constant", eta_constant=1.0)
         uni = new_state(3, seed, mechanism="uniform")
-        from feedauction.mechanism import run_round
-
-        for _ in range(200):
-            a = run_round(mech, contexts, oracle)
+        for explored in coins(mech, 200):
+            a = run_round(mech, contexts, oracle, explored)
             b = uniform_round(uni, oracle)
             assert (a.allocated_agent, a.comparison_price, a.report) == (
                 b.allocated_agent,

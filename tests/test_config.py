@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from feedauction.config import _KEY_SPECS, ConfigError, ExperimentConfig, parse_flat_text
@@ -117,6 +118,28 @@ class TestValidate:
         key = CONFIG_KEY[list(changes)[-1]]
         with pytest.raises(ConfigError, match=re.escape(key)):
             ExperimentConfig(**changes)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            # A string horizon ended in a bare TypeError from the range check,
+            # and a float one was accepted and failed inside run_single.
+            (dict(horizon="5"), "horizon must be an integer, got '5'"),
+            (dict(horizon=2.5), "horizon must be an integer, got 2.5"),
+            (dict(n_agents=True), "agents.count must be an integer, got True"),
+            (dict(epsilon="0.1"), "schedule.epsilon must be a number, got '0.1'"),
+            (dict(theta_seed=1.5), "agents.theta_seed must be an integer or none"),
+            (dict(mechanism=None), "mechanism must be a string, got None"),
+            (dict(data_source="csv", data_path=3), "data.path must be a string or none"),
+        ],
+    )
+    def test_wrong_types_rejected_by_key(self, changes, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(**changes)
+
+    def test_numeric_types_accepted(self):
+        config = ExperimentConfig(horizon=np.int64(7), epsilon=1, noise_width=np.float64(0.1))
+        assert config.horizon == 7 and config.epsilon == 1
 
     @pytest.mark.parametrize("rule", ["bogus", "fixed", "fixed:1.5", "fixed:nan", "gaussian:0.5"])
     @pytest.mark.parametrize("mechanism", ["feedback", "direct_regression", "uniform", "oracle"])

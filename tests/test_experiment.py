@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from feedauction import experiment, mechanism
 from feedauction.config import ExperimentConfig
 from feedauction.core import derive_seed, derive_stream
 from feedauction.dataio import CATEGORIES, generate_synthetic_dataset
@@ -11,7 +15,9 @@ from feedauction.experiment import (
     run_metadata,
     run_single,
 )
+from feedauction.mechanism import MechanismState
 from feedauction.metrics import estimation_error_trace
+from helpers import per_round_reference
 
 
 def small_config(**overrides):
@@ -152,6 +158,65 @@ def corpus():
 @pytest.fixture(scope="module")
 def prepared(corpus):
     return prepare_dataset(corpus, 4)
+
+
+class TestBatchedEngine:
+    """The engine that batches exploitation stretches replays the per-round loop."""
+
+    STRATEGIES = ("truthful", "always_high", "inverted", "random:0.5", "threshold_shift:-0.2")
+
+    @pytest.mark.parametrize(
+        "mechanism_name, schedule_kind, policy, world",
+        itertools.product(
+            ("feedback", "direct_regression"),
+            ("slow", "fast", "constant"),
+            ("exploration_only", "all_allocations"),
+            ("synthetic", "csv"),
+        ),
+    )
+    def test_matches_the_per_round_loop(
+        self, mechanism_name, schedule_kind, policy, world, prepared
+    ):
+        base = ExperimentConfig(
+            horizon=1500, n_agents=4, dim=3, mechanism=mechanism_name,
+            schedule_kind=schedule_kind, training_policy=policy, master_seed=61,
+        )
+        if world == "csv":
+            base = base.replace(data_source="csv", data_path="corpus.csv", pca_components=4)
+        for price, strategy in itertools.product(("uniform", "fixed:0.4"), self.STRATEGIES):
+            config = base.replace(
+                price_distribution=price, deviant_index=1, deviant_strategy=strategy
+            )
+            run = run_single(config, 0, prepared if world == "csv" else None)
+            reference = per_round_reference(config, run)
+            assert run.final_models == reference.pop("final_models"), (price, strategy)
+            for column, expected in reference.items():
+                found = getattr(run, column)
+                assert found.dtype == expected.dtype, (column, price, strategy)
+                assert np.array_equal(found, expected), (column, price, strategy)
+
+    def test_the_schedule_is_computed_once_per_round(self, monkeypatch):
+        # A learned run evaluates exploration_rate once per round, in the
+        # driver; the rounds themselves only receive their coin.
+        seen = []
+
+        def counted(owner):
+            rate = owner.exploration_rate
+
+            def wrapper(config, t):
+                seen.append(owner.__name__)
+                return rate(config, t)
+
+            return wrapper
+
+        for owner in (experiment, mechanism):
+            monkeypatch.setattr(owner, "exploration_rate", counted(owner))
+        for policy in ("exploration_only", "all_allocations"):
+            run_single(small_config(training_policy=policy), 0, keep_records=False)
+        assert seen == ["feedauction.experiment"] * 800
+
+    def test_state_has_no_round_counter(self):
+        assert "t" not in {field.name for field in dataclasses.fields(MechanismState)}
 
 
 class TestLearningConcentration:

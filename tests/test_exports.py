@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,9 +27,14 @@ def test_exported_name_exists(module, name):
     assert hasattr(importlib.import_module(module), name)
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+def _load(name, monkeypatch=None):
+    # With ``monkeypatch``, the module is importable by its own name (as the
+    # benchmark's modules import each other) until the test ends.
+    module_name = name if monkeypatch else f"_perfbench_{name}"
+    spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    if monkeypatch:
+        monkeypatch.setitem(sys.modules, module_name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -55,3 +61,48 @@ def test_benchmark_bindings_install_and_uninstall():
     assert wrapped
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def _shrink_sweep(workload):
+    # 2,000 rounds still leave exploitation stretches between training rounds.
+    workload.config = workload.config.replace(horizon=2000)
+
+
+def _shrink_moderation(workload):
+    workload.corpus_seeds = workload.corpus_seeds[:1]
+
+
+def _shrink_ledger(workload):
+    workload.horizon = 200
+
+
+@pytest.mark.parametrize(
+    "name, shrink",
+    [
+        ("sweep-deviation", _shrink_sweep),
+        ("moderation", _shrink_moderation),
+        ("ledger", _shrink_ledger),
+    ],
+)
+def test_benchmark_workload_fires_every_expected_layer(name, shrink, tmp_path, monkeypatch):
+    # A traced benchmark run is marked incorrect when a wrapped name stops
+    # firing; one shrunk unit of each workload must fire them all and pass
+    # its own output checks.
+    modules = {
+        name: _load(name, monkeypatch)
+        for name in ("checks", "speed", "workloads", "layers", "tracer")
+    }
+    workloads, layers, tracer = (modules[name] for name in ("workloads", "layers", "tracer"))
+    outcome = workloads.Outcome()
+    workload = workloads.WORKLOADS[name](0, tmp_path, outcome)
+    shrink(workload)
+    traced = tracer.Tracer(span_names=layers.SPAN_NAMES)
+    layers.install(traced)
+    try:
+        workload.setup()
+        workload.unit(0)
+    finally:
+        traced.uninstall()
+    assert not workload.expected_layers - set(traced.by_name())
+    assert outcome.failed == 0 and outcome.errors == [] and outcome.problems == []
+    assert outcome.attempted > 0

@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from feedauction.config import ConfigError, ExperimentConfig
 from feedauction.core import DimensionMismatchError
+from feedauction.experiment import exploration_schedule
+from feedauction.learner import ValueModel
 from feedauction.mechanism import (
     MechanismState,
+    exploit_stretch,
     exploration_rate,
     run_round,
     second_price,
@@ -29,6 +32,8 @@ class ScriptedOracle:
 
 class PinnedModel:
     """Predicts a fixed value whatever it ingests; counts the samples."""
+
+    min_samples = float("inf")  # never ready, so the state never refits it
 
     def __init__(self, value):
         self.value = value
@@ -54,14 +59,28 @@ def new_state(n_agents, dim, seed, kind="slow", **changes):
     return MechanismState.create(schedule(kind, n_agents, **changes), dim, seed)
 
 
+def coins(state, rounds):
+    # The explored flags of the first ``rounds`` rounds, from the run's schedule.
+    return exploration_schedule(state, rounds)[1]
+
+
 def pinned_state(n_agents, priors, *, eta_constant=1e-12, seed=77, **changes):
     # Fixed predictions make the exploitation branch fully scripted.
     state = new_state(
         n_agents, 2, seed, "constant", eta_constant=eta_constant, floor_rounds=1, **changes
     )
     state.models = [PinnedModel(p) for p in priors]
-    state.t = 2  # past the floor, so the constant rate applies
     return state
+
+
+def second_round_coin(state):
+    # Round 2 is past the one-round floor, so the constant rate applies.
+    return coins(state, 2)[1]
+
+
+def play_second_round(state, contexts):
+    # Round 2 of a pinned state, every report a yes.
+    return run_round(state, contexts, ScriptedOracle(lambda a, c: True), second_round_coin(state))
 
 
 def flat_contexts(n_agents):
@@ -163,37 +182,111 @@ class TestSecondPrice:
         assert winner == values.index(max(values))
         assert price == sorted(values)[-2]
 
+    def test_rows_are_separate_auctions(self):
+        values = np.array([[0.9, 0.5, 0.1], [0.4, 0.4, 0.2], [0.0, 0.3, 0.7]])
+        winners, prices = second_price(values)
+        np.testing.assert_array_equal(winners, [0, 0, 2])
+        np.testing.assert_array_equal(prices, [0.5, 0.4, 0.3])
+        for row, winner, price in zip(values, winners, prices):
+            assert second_price(row) == (winner, price)
+
+
+class TestExploitStretch:
+    @staticmethod
+    def trained_state(seed, n_agents=4, dim=3, samples=(0, 2, 3, 40)):
+        # Models at and around min_samples (= dim): the first two stay on the prior.
+        state = new_state(n_agents, dim, seed, "constant", eta_constant=1.0)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for agent, count in enumerate(samples):
+            for _ in range(count):
+                state.train(agent, rng.dirichlet(np.ones(dim)), float(rng.random() < 0.5))
+        return state
+
+    def test_estimates_equal_per_agent_predict_bit_for_bit(self):
+        for seed in range(5):
+            state = self.trained_state(seed)
+            contexts = np.random.Generator(np.random.PCG64(100 + seed)).dirichlet(
+                np.ones(3), size=(300, 4)
+            )
+            estimates, winners, prices = exploit_stretch(state, contexts)
+            expected = np.array(
+                [[m.predict(c) for m, c in zip(state.models, row)] for row in contexts]
+            )
+            assert estimates.tobytes() == expected.tobytes()
+            for row, winner, price in zip(expected, winners, prices):
+                assert second_price(row) == (winner, price)
+        assert not state.ready[:2].any() and state.ready[2:].all()
+
+    def test_prior_and_clamped_rows(self):
+        state = new_state(3, 2, 5)
+        for model in state.models[1:]:
+            model.ingest_batch(np.eye(2), np.zeros(2))
+        state.ready[1:] = True
+        state.coefficients[1] = [3.0, -2.0]
+        state.coefficients[2] = [-1.0, 0.25]
+        # Agent 0 is on the prior. Agent 1 scores 3, -2 and 0.5; agent 2
+        # scores -1, a sum of two -0.0 products, and 0.25.
+        contexts = np.array([
+            [[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]],
+            [[0.5, 0.5], [0.0, 1.0], [0.0, -0.0]],
+            [[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]],
+        ])
+        estimates, _, _ = exploit_stretch(state, contexts)
+        for model, coefficients in zip(state.models[1:], state.coefficients[1:]):
+            model._coef, model._stale = coefficients.copy(), False
+        expected = np.array(
+            [[m.predict(c) for m, c in zip(state.models, row)] for row in contexts]
+        )
+        np.testing.assert_array_equal(
+            estimates, [[0.5, 1.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.5, 0.25]]
+        )
+        assert estimates.tobytes() == expected.tobytes()
+        assert not np.signbit(estimates).any()
+
+    def test_training_restacks_only_ready_models(self):
+        state = new_state(2, 2, 3)
+        state.train(0, np.array([0.5, 0.5]), 1.0)
+        assert not state.ready[0] and state.models[0].sample_count == 1
+        np.testing.assert_array_equal(state.coefficients[0], 0.0)
+        state.train(0, np.array([0.2, 0.8]), 0.0)
+        assert state.ready[0]
+        np.testing.assert_array_equal(state.coefficients[0], state.models[0].coefficients)
+
 
 class TestRunRound:
     def test_exploitation_allocates_argmax_and_charges_runner_up(self):
         state = pinned_state(2, [0.9, 0.5])
-        record = run_round(state, flat_contexts(2), ScriptedOracle(lambda a, c: True))
+        explored = second_round_coin(state)
+        coin = state.coin_stream.gen.bit_generator.state
+        record = run_round(state, flat_contexts(2), ScriptedOracle(lambda a, c: True), explored)
         assert not record.explored
         assert record.allocated_agent == 0
         assert record.payment == 0.5
         assert record.comparison_price == 0.5
-        assert state.t == 3
+        # The coin comes from the schedule; the round draws none.
+        assert state.coin_stream.gen.bit_generator.state == coin
 
     def test_exploitation_tie_break(self):
         state = pinned_state(3, [0.4, 0.4, 0.2])
-        record = run_round(state, flat_contexts(3), ScriptedOracle(lambda a, c: True))
+        record = play_second_round(state, flat_contexts(3))
         assert record.allocated_agent == 0
         assert record.payment == 0.4
 
     def test_exploitation_does_not_train_by_default(self):
         state = pinned_state(2, [0.9, 0.5])
-        run_round(state, flat_contexts(2), ScriptedOracle(lambda a, c: True))
+        play_second_round(state, flat_contexts(2))
         assert all(m.sample_count == 0 for m in state.models)
 
     def test_all_allocations_policy_trains_on_exploitation(self):
         state = pinned_state(2, [0.9, 0.5], training_policy="all_allocations")
-        run_round(state, flat_contexts(2), ScriptedOracle(lambda a, c: True))
+        play_second_round(state, flat_contexts(2))
         assert state.models[0].sample_count == 1
         assert state.models[1].sample_count == 0
 
     def test_first_round_explores_for_free(self):
         state = new_state(3, 2, 123)
-        record = run_round(state, flat_contexts(3), ScriptedOracle(lambda a, c: c < 0.5))
+        oracle = ScriptedOracle(lambda a, c: c < 0.5)
+        record = run_round(state, flat_contexts(3), oracle, coins(state, 1)[0])
         assert record.explored
         assert record.payment == 0.0
         assert 0.0 <= record.comparison_price < 1.0
@@ -204,21 +297,22 @@ class TestRunRound:
     def test_single_agent_exploitation_rejected(self):
         state = pinned_state(1, [0.9])
         with pytest.raises(ValueError):
-            run_round(state, flat_contexts(1), ScriptedOracle(lambda a, c: True))
+            play_second_round(state, flat_contexts(1))
 
     def test_context_shape_validated(self):
         state = pinned_state(2, [0.9, 0.5])
         with pytest.raises(DimensionMismatchError):
-            run_round(state, np.ones((3, 2)), ScriptedOracle(lambda a, c: True))
+            play_second_round(state, np.ones((3, 2)))
 
     def test_exploration_winner_frequencies_are_uniform(self):
+        rounds = 100_000
         state = new_state(3, 2, 2024, "constant", eta_constant=1.0)
         contexts = flat_contexts(3)
         oracle = ScriptedOracle(lambda a, c: c < 0.5)
         counts = np.zeros(3)
-        for _ in range(100_000):
-            counts[run_round(state, contexts, oracle).allocated_agent] += 1
-        assert np.all(np.abs(counts / 100_000 - 1.0 / 3.0) < 0.02)
+        for explored in coins(state, rounds):
+            counts[run_round(state, contexts, oracle, explored).allocated_agent] += 1
+        assert np.all(np.abs(counts / rounds - 1.0 / 3.0) < 0.02)
 
     def test_exploration_fraction_tracks_constant_rate(self):
         # 50 seeds of 2000 rounds at a constant rate; the first three rounds
@@ -230,8 +324,8 @@ class TestRunRound:
         explored = 0
         for seed in range(seeds):
             state = MechanismState.create(config, 2, seed)
-            for _ in range(horizon):
-                explored += run_round(state, contexts, oracle).explored
+            for coin in coins(state, horizon):
+                explored += run_round(state, contexts, oracle, coin).explored
         total = seeds * horizon
         expected = (3 * 1.0 + (horizon - 3) * rate) / horizon
         stderr = np.sqrt(expected * (1 - expected) / total)
@@ -241,9 +335,9 @@ class TestRunRound:
         state = new_state(3, 3, 31, "constant", eta_constant=0.5)
         rng = np.random.Generator(np.random.PCG64(9))
         oracle = ScriptedOracle(lambda a, c: c < 0.4)
-        for _ in range(600):
+        for explored in coins(state, 600):
             contexts = rng.dirichlet(np.ones(3), size=3)
-            record = run_round(state, contexts, oracle)
+            record = run_round(state, contexts, oracle, explored)
             if record.explored:
                 assert record.payment == 0.0
             else:
@@ -262,9 +356,9 @@ class TestRunRound:
             )
             rng = np.random.Generator(np.random.PCG64(4))
             rows = []
-            for _ in range(400):
+            for explored in coins(state, 400):
                 contexts = rng.dirichlet(np.ones(3), size=3)
-                record = run_round(state, contexts, oracle)
+                record = run_round(state, contexts, oracle, explored)
                 rows.append(
                     (record.allocated_agent, record.explored, record.payment, record.report)
                 )
@@ -273,15 +367,15 @@ class TestRunRound:
         assert play([0.01, 0.02, 0.03]) == play([0.99, 0.98, 0.97])
 
     def test_paired_seeds_stay_aligned_when_reports_differ(self):
-        # The coin is drawn every round and winner/price only on exploration,
+        # The coins are drawn up front and winner/price only on exploration,
         # so two runs sharing a master seed explore at the same rounds with
         # the same winners and prices even if every report differs.
         def play(answer):
             state = new_state(3, 2, 99)
             oracle = ScriptedOracle(lambda a, c: answer)
             rows = []
-            for _ in range(300):
-                record = run_round(state, flat_contexts(3), oracle)
+            for explored in coins(state, 300):
+                record = run_round(state, flat_contexts(3), oracle, explored)
                 rows.append((record.explored, record.allocated_agent, record.comparison_price))
             return rows
 
@@ -314,7 +408,7 @@ class TestMechanismState:
 
     def test_fixed_price_distribution(self):
         state = pinned_state(2, [0.9, 0.5], eta_constant=1.0, price_distribution="fixed:0.3")
-        record = run_round(state, flat_contexts(2), ScriptedOracle(lambda a, c: True))
+        record = play_second_round(state, flat_contexts(2))
         assert record.explored
         assert record.comparison_price == 0.3
 
