@@ -88,11 +88,9 @@ def test_benchmark_workload_fires_every_expected_layer(name, shrink, tmp_path, m
     # A traced benchmark run is marked incorrect when a wrapped name stops
     # firing; one shrunk unit of each workload must fire them all and pass
     # its own output checks.
-    modules = {
-        name: _load(name, monkeypatch)
-        for name in ("checks", "speed", "workloads", "layers", "tracer")
-    }
-    workloads, layers, tracer = (modules[name] for name in ("workloads", "layers", "tracer"))
+    # The workloads import checks and speed by plain name, so those load first.
+    names = ("checks", "speed", "workloads", "layers", "tracer")
+    _, _, workloads, layers, tracer = (_load(module, monkeypatch) for module in names)
     outcome = workloads.Outcome()
     workload = workloads.WORKLOADS[name](0, tmp_path, outcome)
     shrink(workload)
