@@ -73,8 +73,8 @@ _TRUTHFUL = Strategy()
 class _PopulationOracle:
     """Answers comparison queries on behalf of the agents.
 
-    Every agent but ``deviant`` (``None`` for none) reports truthfully. The
-    driver points ``utilities_now`` at the current round's realized
+    Every agent but ``deviant`` (``None`` for none) reports truthfully.
+    ``run_single`` points ``utilities_now`` at the current round's realized
     utilities before each per-round mechanism call. Only the ``random``
     reporting strategy consumes stream randomness, so truthful populations
     keep the deviant's report stream untouched.

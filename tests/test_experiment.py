@@ -196,8 +196,8 @@ class TestBatchedEngine:
                 assert np.array_equal(found, expected), (column, price, strategy)
 
     def test_the_schedule_is_computed_once_per_round(self, monkeypatch):
-        # A learned run evaluates exploration_rate once per round, in the
-        # driver; the rounds themselves only receive their coin.
+        # A learned run evaluates exploration_rate once per round, in
+        # run_single; the rounds themselves only receive their coin.
         seen = []
 
         def counted(owner):
