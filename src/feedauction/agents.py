@@ -10,6 +10,7 @@ your utility at least c?".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ class Strategy:
     def __post_init__(self) -> None:
         if self.kind not in STRATEGY_KINDS:
             raise ConfigurationError(f"unknown strategy kind {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise ConfigurationError(f"strategy parameter must be finite, got {self.param}")
         if self.kind == "random" and not 0.0 <= self.param <= 1.0:
             raise ConfigurationError(
                 f"random strategy needs a probability in [0, 1], got {self.param}"

@@ -4,7 +4,8 @@ Three baselines bracket the mechanism: an oracle that allocates and prices on
 true expected utilities (zero regret by construction), an exact-value
 regression that runs the identical auction loop but trains on realized
 utilities instead of binary reports, and uniform random allocation with no
-learning at all.
+learning at all. The oracle and uniform allocation never learn, so each
+decides all of a run's rounds in one call; the driver collects their reports.
 """
 
 from __future__ import annotations
@@ -21,21 +22,14 @@ __all__ = [
 ]
 
 
-def oracle_round(true_means: np.ndarray, oracle: RoundOracle) -> RoundRecord:
-    """Second-price auction on the round's true expected utilities.
+def oracle_round(true_means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Second-price auctions on the true expected utilities of a run's rounds.
 
-    A truthful report at the charged price is still collected so the ledger
-    schema matches the learned mechanisms.
+    ``true_means`` is the (rounds, n_agents) block; returns each round's
+    winner (lowest index on ties) and second-highest true mean, which is
+    both the payment and the comparison price.
     """
-    winner, price = second_price(true_means)
-    answer = bool(oracle.compare(winner, price))
-    return RoundRecord(
-        allocated_agent=winner,
-        explored=False,
-        comparison_price=price,
-        report=answer,
-        payment=price,
-    )
+    return second_price(true_means)
 
 
 def direct_regression_round(
@@ -55,19 +49,11 @@ def direct_regression_round(
     return run_round(state, contexts, oracle, explored)
 
 
-def uniform_round(state: MechanismState, oracle: RoundOracle) -> RoundRecord:
-    """Allocate uniformly at random for free; collect a report for parity.
+def uniform_round(state: MechanismState, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Free uniformly random winners and their comparison prices for ``rounds`` rounds.
 
-    The feedback mechanism's round with its exploration rate pinned to 1: it
-    draws no coin and leaves the value models untouched, but makes the same
-    exploration draw, so the comparison price follows the state's price
-    distribution.
+    The feedback mechanism's exploration draw with the rate pinned to 1, made
+    for all rounds at once: it draws no coin and leaves the value models
+    untouched, and the comparison prices follow the state's price rule.
     """
-    winner, price = _explore(state)
-    return RoundRecord(
-        allocated_agent=winner,
-        explored=True,
-        comparison_price=price,
-        report=bool(oracle.compare(winner, price)),
-        payment=0.0,
-    )
+    return _explore(state, rounds)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -195,8 +196,9 @@ _COMPARABLE_EXEMPT = {
 def _ledger_columns(file_path: str) -> tuple[tuple, str, np.ndarray, np.ndarray, np.ndarray, int]:
     # Config signature, mechanism, the winner, welfare and revenue increment
     # columns, and the agent count of one run file; its parsed rows are freed
-    # on return. A ledger missing any of them, naming a winner outside
-    # [0, agents.count) or holding a non-finite increment is a data error.
+    # on return. A ledger missing any of them, naming a winner that is not a
+    # JSON integer in [0, agents.count) or holding an increment that is not a
+    # finite JSON number is a data error.
     metadata, rows = read_run(file_path)
     try:
         echo = metadata["config"]
@@ -204,27 +206,32 @@ def _ledger_columns(file_path: str) -> tuple[tuple, str, np.ndarray, np.ndarray,
             (k, repr(v)) for k, v in sorted(echo.items()) if k not in _COMPARABLE_EXEMPT
         )
         mechanism = echo["mechanism"]
-        allocated = np.array([row["allocated_agent"] for row in rows], dtype=int)
-        welfare = np.array([row["welfare_regret_increment"] for row in rows], dtype=float)
-        revenue = np.array([row["revenue_regret_increment"] for row in rows], dtype=float)
+        allocated = [row["allocated_agent"] for row in rows]
+        welfare = [row["welfare_regret_increment"] for row in rows]
+        revenue = [row["revenue_regret_increment"] for row in rows]
         n_agents = int(echo["agents.count"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
         raise DataError(f"{file_path}: malformed run ledger ({reason})") from None
-    outside = np.flatnonzero((allocated < 0) | (allocated >= n_agents))
-    if outside.size:
-        row = outside[0]
-        raise DataError(
-            f"{file_path}: round {row + 1} allocates agent {allocated[row]}, "
-            f"outside [0, {n_agents}) for agents.count {n_agents}"
-        )
-    for name, column in (("welfare", welfare), ("revenue", revenue)):
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size:
+    # ``type`` rather than ``isinstance``: a JSON true is no agent or number.
+    for t, winner in enumerate(allocated, start=1):
+        if type(winner) is not int or not 0 <= winner < n_agents:
             raise DataError(
-                f"{file_path}: round {bad[0] + 1} has {name}_regret_increment {column[bad[0]]}"
+                f"{file_path}: round {t} allocates agent {winner!r}, not an integer "
+                f"in [0, {n_agents}) for agents.count {n_agents}"
             )
-    return signature, mechanism, allocated, welfare, revenue, n_agents
+    for name, column in (("welfare", welfare), ("revenue", revenue)):
+        for t, value in enumerate(column, start=1):
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise DataError(f"{file_path}: round {t} has {name}_regret_increment {value!r}")
+    return (
+        signature,
+        mechanism,
+        np.array(allocated, dtype=int),
+        np.array(welfare, dtype=float),
+        np.array(revenue, dtype=float),
+        n_agents,
+    )
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -238,6 +245,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError(
             "run files come from incompatible configs; pass --allow-mixed to force"
         )
+    for mechanism, entries in groups.items():
+        counts = sorted({n_agents for *_, n_agents in entries})
+        if len(counts) > 1:
+            raise ConfigError(
+                f"{mechanism} run files differ in agents.count "
+                f"({', '.join(map(str, counts))}), so their per-agent welfare-loss "
+                "histograms cannot be averaged"
+            )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"{'mechanism':18s} {'runs':>4s} {'welfare_slope':>14s} {'revenue_slope':>14s}")

@@ -22,7 +22,7 @@ import numpy as np
 from .agents import Strategy, report, sample_simplex, utility_from_uniform
 from .baselines import direct_regression_round, oracle_round, uniform_round
 from .config import ExperimentConfig
-from .core import CODE_VERSION, RngStream, RoundRecord, derive_seed, derive_stream
+from .core import CODE_VERSION, RngStream, derive_seed, derive_stream
 from .dataio import CATEGORIES, FeatureScaler, LabeledExample, pca_fit, pca_transform
 from .mechanism import MechanismState, exploit_stretch, exploration_rate, run_round
 from .metrics import oracle_prices
@@ -243,22 +243,16 @@ def run_single(
         None if deviant is None else derive_stream(run_seed, f"agents/report/{deviant}"),
     )
     oracle_second_prices = oracle_prices(true_means)
-    allocated = np.empty(horizon, dtype=int)
-    payments = np.empty(horizon)
-    comparison_prices = np.empty(horizon)
-    reports = np.empty(horizon, dtype=bool)
     estimates: np.ndarray | None = None
     final_models: list[dict[str, Any]] | None = None
-
-    def keep(ti: int, record: RoundRecord) -> None:
-        allocated[ti] = record.allocated_agent
-        payments[ti] = record.payment
-        comparison_prices[ti] = record.comparison_price
-        reports[ti] = record.report
 
     state = MechanismState.create(config, contexts.shape[2], run_seed)
     if config.mechanism in ("feedback", "direct_regression"):
         learned_round = run_round if config.mechanism == "feedback" else direct_regression_round
+        allocated = np.empty(horizon, dtype=int)
+        payments = np.empty(horizon)
+        comparison_prices = np.empty(horizon)
+        reports = np.empty(horizon, dtype=bool)
         estimates = np.empty((horizon, n_agents))
         eta, explored = exploration_schedule(state, horizon)
         if config.training_policy == "exploration_only":
@@ -277,24 +271,29 @@ def run_single(
                 reports[rows] = oracle.compare_stretch(utilities[rows], winners, prices)
             if ti < horizon:
                 oracle.utilities_now = utilities[ti]
-                keep(ti, learned_round(state, contexts[ti], oracle, bool(explored[ti])))
+                record = learned_round(state, contexts[ti], oracle, bool(explored[ti]))
+                allocated[ti] = record.allocated_agent
+                payments[ti] = record.payment
+                comparison_prices[ti] = record.comparison_price
+                reports[ti] = record.report
                 estimates[ti] = state.last_estimates
             start = ti + 1
-    else:
-        uniform = config.mechanism == "uniform"
-        eta = np.ones(horizon) if uniform else np.zeros(horizon)
-        explored = np.full(horizon, uniform)
-        for ti in range(horizon):
-            oracle.utilities_now = utilities[ti]
-            if uniform:
-                keep(ti, uniform_round(state, oracle))
-            else:  # oracle: allocates on the true means and leaves the state unused
-                keep(ti, oracle_round(true_means[ti], oracle))
-    if estimates is not None:
         final_models = [
             {"sample_count": m.sample_count, "coefficients": m.coefficients.tolist()}
             for m in state.models
         ]
+    else:
+        uniform = config.mechanism == "uniform"
+        eta = np.ones(horizon) if uniform else np.zeros(horizon)
+        explored = np.full(horizon, uniform)
+        if uniform:
+            allocated, comparison_prices = uniform_round(state, horizon)
+            payments = np.zeros(horizon)
+        else:  # oracle: allocates on the true means and leaves the state unused
+            allocated, prices = oracle_round(true_means)
+            # Copies: the prices are a view of the partitioned (rounds, agents) block.
+            comparison_prices, payments = prices.copy(), prices.copy()
+        reports = oracle.compare_stretch(utilities, allocated, comparison_prices)
 
     return RunResult(
         config=config,

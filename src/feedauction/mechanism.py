@@ -12,7 +12,9 @@ A model changes only in a round that trains it, so the rounds between two
 training rounds form a stretch of second-price auctions on frozen models.
 :func:`run_round` plays one round, training round or not, given its coin;
 :func:`exploit_stretch` plays a whole stretch at once from the stacked
-coefficients the state keeps next to its models.
+coefficients the state keeps next to its models. The uniform baseline is
+this mechanism at exploration rate 1 and makes the same exploration draw,
+for all of a run's rounds at once.
 
 The mechanism observes agents only through a :class:`RoundOracle`: a yes/no
 comparison query. Realized utilities never enter any allocation, payment, or
@@ -133,8 +135,9 @@ class MechanismState:
     from ``config``. The coin stream is drawn once per round, by the run's
     schedule; the agent and price streams once each per exploration round.
     Two runs sharing a master seed therefore stay aligned round for round
-    even when their agents report differently. The uniform baseline plays on
-    the same state but draws no coin.
+    even when their agents report differently. The uniform baseline draws
+    every round's winner and price from the same two streams in one batch,
+    and no coin.
 
     ``coefficients`` stacks the models' fitted coefficients, one row per
     agent, and ``ready`` marks the agents whose models have ``min_samples``
@@ -187,16 +190,18 @@ class MechanismState:
             self.coefficients[agent] = model.fit()
             self.ready[agent] = True
 
-    def _draw_comparison_price(self) -> float:
-        if self._fixed_price is None:
-            return float(self.price_stream.random())
-        return self._fixed_price
 
-
-def _explore(state: MechanismState) -> tuple[int, float]:
-    # The exploration draw: a uniformly random winner, then its comparison price.
-    winner = int(state.agent_stream.integers(len(state.models)))
-    return winner, state._draw_comparison_price()
+def _explore(state: MechanismState, size: int | None = None):
+    # The exploration draw: uniformly random winners, then their comparison
+    # prices. One round gives (int, float); ``size`` rounds give two arrays,
+    # the values of as many one-round draws.
+    winners = state.agent_stream.integers(len(state.models), size=size)
+    fixed = state._fixed_price
+    if size is None:
+        price = float(state.price_stream.random()) if fixed is None else fixed
+        return int(winners), price
+    prices = state.price_stream.random(size) if fixed is None else np.full(size, fixed)
+    return winners, prices
 
 
 def run_round(

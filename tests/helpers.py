@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: the Jacobi
 eigensolver checks the power-iteration PCA, the dense least-squares solver
-checks the incremental sufficient-statistics fit, and the per-round loop
-checks the engine that batches exploitation stretches.
+checks the incremental sufficient-statistics fit, and the per-round loops
+check the engine that batches exploitation stretches and the baselines that
+decide a whole run in one call.
 """
 
 import numpy as np
@@ -97,4 +98,46 @@ def per_round_reference(config, run):
         {"sample_count": m.sample_count, "coefficients": m.coefficients.tolist()}
         for m in state.models
     ]
+    return columns
+
+
+def per_round_baseline_reference(config, run):
+    """Replay a ``uniform`` or ``oracle`` run one round at a time.
+
+    Each round makes its own exploration draw (``uniform``) or sorts its own
+    true means (``oracle``, lowest index on ties), then asks the winner at
+    the round's price, as the driver did before it batched the baselines.
+    It reads only the run's world (true means, utilities, run seed) and
+    returns the decision columns.
+    """
+    horizon, n_agents = config.horizon, config.n_agents
+    uniform = config.mechanism == "uniform"
+    state = MechanismState.create(config, 1, run.run_seed)
+    fixed_price = parse_price_distribution(config.price_distribution)
+    deviant, deviant_strategy = config.deviant_index, Strategy.parse(config.deviant_strategy)
+    report_stream = None
+    if deviant is not None:
+        report_stream = derive_stream(run.run_seed, f"agents/report/{deviant}")
+    columns = {
+        "allocated": np.empty(horizon, dtype=int),
+        "payments": np.empty(horizon),
+        "comparison_prices": np.empty(horizon),
+        "explored": np.empty(horizon, dtype=bool),
+        "reports": np.empty(horizon, dtype=bool),
+        "eta": np.empty(horizon),
+    }
+    for ti in range(horizon):
+        if uniform:
+            winner = int(state.agent_stream.integers(n_agents))
+            price = float(state.price_stream.random()) if fixed_price is None else fixed_price
+            payment = 0.0
+        else:
+            means = run.true_means[ti]
+            winner = int(np.argmax(means))
+            payment = price = float(np.sort(means)[-2])
+        strategy = deviant_strategy if winner == deviant else Strategy()
+        answer = bool(report(strategy, float(run.utilities[ti, winner]), price, report_stream))
+        row = (winner, payment, price, uniform, answer, float(uniform))
+        for column, value in zip(columns.values(), row):
+            column[ti] = value
     return columns

@@ -36,27 +36,24 @@ class CountingOracle:
 
 class TestOracleRound:
     def test_allocates_on_true_means(self):
-        record = oracle_round(np.array([0.9, 0.2]), CountingOracle([0.9, 0.2]))
-        assert record.allocated_agent == 0
-        assert record.payment == pytest.approx(0.2)  # the runner-up's true mean
-        assert not record.explored
+        winners, prices = oracle_round(np.array([[0.9, 0.2], [0.1, 0.6]]))
+        np.testing.assert_array_equal(winners, [0, 1])
+        np.testing.assert_array_equal(prices, [0.2, 0.1])  # the runner-up's true mean
 
     def test_true_means_override(self):
         # Dataset agents have 0/1 expected utilities; the means alone decide,
         # and a tie at the top goes to the lowest index at the tied price.
-        record = oracle_round(np.array([0.0, 1.0, 1.0]), CountingOracle([0.0, 1.0, 1.0]))
-        assert record.allocated_agent == 1
-        assert record.payment == 1.0
+        winners, prices = oracle_round(np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]))
+        np.testing.assert_array_equal(winners, [1, 0])
+        np.testing.assert_array_equal(prices, [1.0, 1.0])
 
     def test_zero_welfare_regret_by_construction(self):
         thetas = derive_stream(17, "population/theta").random((4, 3))
-        context_stream = derive_stream(17, "world/contexts")
-        for _ in range(50):
-            raw = context_stream.random((4, 3))
-            contexts = raw / raw.sum(axis=1, keepdims=True)
-            means = np.einsum("ij,ij->i", thetas, contexts)
-            record = oracle_round(means, CountingOracle(means))
-            assert means[record.allocated_agent] == means.max()
+        raw = derive_stream(17, "world/contexts").random((50, 4, 3))
+        contexts = raw / raw.sum(axis=2, keepdims=True)
+        means = np.einsum("tij,ij->ti", contexts, thetas)
+        winners, _ = oracle_round(means)
+        np.testing.assert_array_equal(means[np.arange(50), winners], means.max(axis=1))
 
 
 class TestDirectRegressionRound:
@@ -92,24 +89,24 @@ class TestUniformRound:
     def test_free_random_allocation(self):
         state = new_state(3, 8, mechanism="uniform")
         coin = state.coin_stream.gen.bit_generator.state
-        seen = set()
-        for _ in range(300):
-            record = uniform_round(state, CountingOracle([0.5] * 3))
-            assert record.payment == 0.0
-            assert record.explored
-            seen.add(record.allocated_agent)
-        assert seen == {0, 1, 2}
+        winners, _ = uniform_round(state, 3000)
+        # Every agent wins about a third of the rounds.
+        np.testing.assert_allclose(np.bincount(winners, minlength=3) / 3000, 1 / 3, atol=0.03)
         # No coin is drawn and no model learns.
         assert state.coin_stream.gen.bit_generator.state == coin
         assert all(model.sample_count == 0 for model in state.models)
+        # A run pays nothing for its explored winners.
+        run = run_single(ExperimentConfig(n_agents=3, mechanism="uniform", horizon=300), 0)
+        assert np.all(run.payments == 0.0)
+        assert np.all(run.explored)
 
     def test_fixed_price_distribution(self):
         state = new_state(3, 8, mechanism="uniform", price_distribution="fixed:0.25")
-        oracle = CountingOracle([0.1, 0.5, 0.9])
-        for _ in range(20):
-            record = uniform_round(state, oracle)
-            assert record.comparison_price == 0.25
-            assert record.report == (oracle.utilities[record.allocated_agent] >= 0.25)
+        winners, prices = uniform_round(state, 20)
+        np.testing.assert_array_equal(prices, np.full(20, 0.25))
+        # The price rule does not touch the agent stream.
+        default, _ = uniform_round(new_state(3, 8, mechanism="uniform"), 20)
+        np.testing.assert_array_equal(winners, default)
 
     def test_matches_feedback_mechanism_at_full_exploration(self):
         # With the exploration rate pinned at 1 and the same master seed, the
@@ -120,14 +117,16 @@ class TestUniformRound:
         oracle = CountingOracle([0.8, 0.5, 0.2])
 
         mech = new_state(3, seed, schedule_kind="constant", eta_constant=1.0)
+        records = [run_round(mech, contexts, oracle, explored) for explored in coins(mech, 200)]
         uni = new_state(3, seed, mechanism="uniform")
-        for explored in coins(mech, 200):
-            a = run_round(mech, contexts, oracle, explored)
-            b = uniform_round(uni, oracle)
-            assert (a.allocated_agent, a.comparison_price, a.report) == (
-                b.allocated_agent,
-                b.comparison_price,
-                b.report,
+        winners, prices = uniform_round(uni, 200)
+        np.testing.assert_array_equal(winners, [r.allocated_agent for r in records])
+        np.testing.assert_array_equal(prices, [r.comparison_price for r in records])
+        # The streams end where 200 single draws leave them.
+        for stream in ("agent_stream", "price_stream"):
+            assert (
+                getattr(uni, stream).gen.bit_generator.state
+                == getattr(mech, stream).gen.bit_generator.state
             )
 
 

@@ -308,27 +308,53 @@ class TestReportCommand:
         assert not report_dir.exists()
         return code, str(ledger)
 
-    @pytest.mark.parametrize("winner", [-1, 3], ids=["negative", "agents.count"])
+    @pytest.mark.parametrize(
+        "winner",
+        [-1, 3, 1.5, "2", True],
+        ids=["negative", "agents.count", "float", "string", "bool"],
+    )
     def test_winner_outside_the_population_exits_3(self, tmp_path, capsys, winner):
         # -1 used to end in an np.bincount traceback, and agents.count used to
-        # widen the welfare-loss histogram by a phantom agent.
+        # widen the welfare-loss histogram by a phantom agent; 1.5, "2" and
+        # true used to be cast to agents 1, 2 and 1 with exit 0.
         code, ledger = self.report_on_second_row(tmp_path, allocated_agent=winner)
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error [data]")
-        assert ledger in err and f"round 2 allocates agent {winner}" in err
+        assert ledger in err and f"round 2 allocates agent {winner!r}" in err
 
     @pytest.mark.parametrize(
         "column, value",
-        [("welfare_regret_increment", float("nan")), ("revenue_regret_increment", float("inf"))],
+        [
+            ("welfare_regret_increment", float("nan")),
+            ("revenue_regret_increment", float("inf")),
+            ("welfare_regret_increment", "0.1"),
+            ("revenue_regret_increment", False),
+            ("welfare_regret_increment", None),
+        ],
     )
     def test_non_finite_increment_exits_3(self, tmp_path, capsys, column, value):
-        # These used to be averaged into nan and inf CSV rows with exit 0.
+        # These used to be averaged into nan and inf CSV rows, or cast to
+        # numbers, with exit 0.
         code, ledger = self.report_on_second_row(tmp_path, **{column: value})
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error [data]")
-        assert ledger in err and f"round 2 has {column} {value}" in err
+        assert ledger in err and f"round 2 has {column} {value!r}" in err
+
+    def test_mixed_agent_counts_exit_2_even_when_forced(self, tmp_path, capsys):
+        # The per-agent histograms of 3 and 4 agents used to end in a ragged
+        # array ValueError and a traceback.
+        files = self.run_mechanisms(tmp_path, ["uniform"])
+        out_dir = tmp_path / "runs4"
+        config = small_config(tmp_path, out_dir, mechanism="uniform", **{"agents.count": 4})
+        assert main(["run", "--config", config]) == 0
+        files += [str(p) for p in sorted(out_dir.glob("*.jsonl"))]
+        report_dir = tmp_path / "report"
+        assert main(["report", *files, "--out", str(report_dir), "--allow-mixed"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]") and "agents.count (3, 4)" in err
+        assert not report_dir.exists()
 
 
 class TestErrorCategories:

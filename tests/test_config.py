@@ -110,6 +110,11 @@ class TestValidate:
             dict(epsilon=float("nan")),
             dict(epsilon=float("inf")),
             dict(noise_width=float("nan")),
+            # A nan threshold answered "no" to every query.
+            dict(deviant_strategy="threshold_shift:nan"),
+            dict(deviant_strategy="threshold_shift:inf"),
+            dict(deviant_strategy="threshold_shift:-inf"),
+            dict(deviant_strategy="always_high:nan"),
         ],
     )
     def test_rejections(self, changes):

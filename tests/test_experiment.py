@@ -17,7 +17,7 @@ from feedauction.experiment import (
 )
 from feedauction.mechanism import MechanismState
 from feedauction.metrics import estimation_error_trace
-from helpers import per_round_reference
+from helpers import per_round_baseline_reference, per_round_reference
 
 
 def small_config(**overrides):
@@ -217,6 +217,39 @@ class TestBatchedEngine:
 
     def test_state_has_no_round_counter(self):
         assert "t" not in {field.name for field in dataclasses.fields(MechanismState)}
+
+
+class TestBatchedBaselines:
+    """``uniform`` and ``oracle``, decided in one call per run, replay the per-round loop."""
+
+    STRATEGIES = (
+        "truthful", "always_high", "always_low", "inverted", "random:0.3", "threshold_shift:-0.2",
+    )
+
+    @pytest.mark.parametrize(
+        "mechanism_name, n_agents, price, world",
+        [
+            (*case, price, world)
+            for case in (("uniform", 4), ("oracle", 4), ("uniform", 1))
+            for price in ("uniform", "fixed:0.4")
+            for world in ("synthetic", "csv")
+        ],
+    )
+    def test_matches_the_per_round_loop(self, mechanism_name, n_agents, price, world, prepared):
+        base = ExperimentConfig(
+            horizon=1500, n_agents=n_agents, dim=3, mechanism=mechanism_name,
+            price_distribution=price, master_seed=62,
+        )
+        if world == "csv":
+            base = base.replace(data_source="csv", data_path="corpus.csv", pca_components=4)
+        for strategy in self.STRATEGIES:
+            config = base.replace(deviant_index=0, deviant_strategy=strategy)
+            run = run_single(config, 0, prepared if world == "csv" else None)
+            assert run.estimates is None and run.final_models is None
+            for column, expected in per_round_baseline_reference(config, run).items():
+                found = getattr(run, column)
+                assert found.dtype == expected.dtype, (column, strategy)
+                assert np.array_equal(found, expected), (column, strategy)
 
 
 class TestLearningConcentration:
