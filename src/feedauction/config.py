@@ -2,9 +2,9 @@
 
 Config files are plain text. Each non-blank line is ``key = value`` with
 dotted lowercase keys; ``#`` starts a comment anywhere on a line. Unknown
-keys are rejected by name, duplicate keys are rejected, and every effective
-parameter (explicit or defaulted) is echoed into run metadata so a run file
-fully describes how it was produced.
+keys, duplicate keys and keys that the chosen kind of world ignores are
+rejected by name, and every effective parameter (explicit or defaulted) is
+echoed into run metadata so a run file fully describes how it was produced.
 
 An :class:`ExperimentConfig` is validated when it is built, so every config
 that exists is one the mechanism, the world and the report oracle can read
@@ -138,7 +138,13 @@ class ExperimentConfig:
                 values[attr] = caster(raw)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
-        return cls(**values)
+        config = cls(**values)
+        for key in _IGNORED_KEYS[config.data_source]:
+            if key in mapping:
+                raise ConfigError(
+                    f"{key} does not apply to a data.source = {config.data_source} world"
+                )
+        return config
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -188,6 +194,15 @@ _KEY_SPECS: dict[str, tuple[str, Any]] = {
     "seeds.master": ("master_seed", int),
     "seeds.count": ("n_seeds", int),
     "output.dir": ("output_dir", str),
+}
+
+# The keys each kind of world ignores, which a config file may not set for
+# it. A csv world's contexts are its embedded corpus and its utilities its
+# labels, so it has no dimension of its own, no noise and no linear
+# population; a synthetic world reads no corpus.
+_IGNORED_KEYS: dict[str, tuple[str, ...]] = {
+    "csv": ("features.dim", "agents.noise", "agents.noise_width", "agents.theta_seed"),
+    "synthetic": ("data.path", "data.pca_components"),
 }
 
 # The value type each caster yields, which a config built from keywords must

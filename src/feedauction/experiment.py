@@ -14,6 +14,7 @@ prices stay in the run's columns, next to each round's decisions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any
 
@@ -69,18 +70,26 @@ class RunResult:
 
 _TRUTHFUL = Strategy()
 
+# The most rounds a learned run settles in one exploit_stretch call; it bounds
+# the per-round coefficient copies the call gathers.
+_BLOCK_ROUNDS = 512
+
 
 class _PopulationOracle:
     """Answers comparison queries on behalf of the agents.
 
     Every agent but ``deviant`` (``None`` for none) reports truthfully.
     ``run_single`` points ``utilities_now`` at the current round's realized
-    utilities before each per-round mechanism call. Only the ``random``
-    reporting strategy consumes stream randomness, so truthful populations
-    keep the deviant's report stream untouched.
+    utilities before each training round, which it plays through the
+    per-round mechanism call, and asks the winners of the frozen rounds in
+    between with ``compare_stretch``. Only the ``random`` reporting strategy
+    consumes stream randomness, so truthful populations keep the deviant's
+    report stream untouched. A ``random`` deviant (``answers_in_order``)
+    must be asked in round order, so ``run_single`` settles the frozen
+    rounds before each training round for it.
     """
 
-    __slots__ = ("deviant", "strategy", "report_stream", "utilities_now")
+    __slots__ = ("deviant", "strategy", "report_stream", "utilities_now", "answers_in_order")
 
     def __init__(
         self, deviant: int | None, strategy: Strategy, report_stream: RngStream | None
@@ -89,6 +98,7 @@ class _PopulationOracle:
         self.strategy = strategy
         self.report_stream = report_stream
         self.utilities_now: np.ndarray | None = None
+        self.answers_in_order = deviant is not None and strategy.kind == "random"
 
     def compare(self, agent: int, price: float) -> bool:
         utility = float(self.utilities_now[agent])
@@ -256,20 +266,32 @@ def run_single(
         estimates = np.empty((horizon, n_agents))
         eta, explored = exploration_schedule(state, horizon)
         if config.training_policy == "exploration_only":
-            training = np.flatnonzero(explored).tolist()
+            trains = explored
         else:
-            training = list(range(horizon))
-        start = 0
-        # The stretch of frozen-model rounds before each training round, then
-        # that round; ``horizon`` closes the last stretch.
-        for ti in training + [horizon]:
-            if start < ti:
-                rows = slice(start, ti)
-                estimates[rows], winners, prices = exploit_stretch(state, contexts[rows])
-                allocated[rows] = winners
-                payments[rows] = comparison_prices[rows] = prices
-                reports[rows] = oracle.compare_stretch(utilities[rows], winners, prices)
-            if ti < horizon:
+            trains = np.ones(horizon, dtype=bool)
+        training = np.flatnonzero(trains).tolist()
+        # Blocks of at most _BLOCK_ROUNDS rounds. A population that answers
+        # from its report stream also starts a block at each training round,
+        # so that every round's answer is drawn in round order.
+        edges = set(range(0, horizon, _BLOCK_ROUNDS))
+        if oracle.answers_in_order:
+            edges.update(training)
+        edges = sorted(edges) + [horizon]
+        # Snapshot k of a block: the stacked models after its k-th training round.
+        coefficient_snapshots = np.empty((_BLOCK_ROUNDS + 1,) + state.coefficients.shape)
+        ready_snapshots = np.empty((_BLOCK_ROUNDS + 1, n_agents), dtype=bool)
+        first = 0
+        for start, stop in zip(edges, edges[1:]):
+            last = bisect_left(training, stop, first)
+            block_training = training[first:last]
+            first = last
+            # The frozen rounds after the block's last training round read
+            # the current models; only a frozen round before it needs a snapshot.
+            gather = bool(block_training) and block_training[-1] - start >= len(block_training)
+            if gather:
+                coefficient_snapshots[0] = state.coefficients
+                ready_snapshots[0] = state.ready
+            for k, ti in enumerate(block_training, 1):
                 oracle.utilities_now = utilities[ti]
                 record = learned_round(state, contexts[ti], oracle, bool(explored[ti]))
                 allocated[ti] = record.allocated_agent
@@ -277,7 +299,24 @@ def run_single(
                 comparison_prices[ti] = record.comparison_price
                 reports[ti] = record.report
                 estimates[ti] = state.last_estimates
-            start = ti + 1
+                if gather:
+                    coefficient_snapshots[k] = state.coefficients
+                    ready_snapshots[k] = state.ready
+            if gather:
+                block_trains = trains[start:stop]
+                frozen = np.flatnonzero(~block_trains)
+                snapshot = np.cumsum(block_trains)[frozen]
+                rows = frozen + start
+                coefficients, ready = coefficient_snapshots[snapshot], ready_snapshots[snapshot]
+            else:
+                rows = slice(start + len(block_training), stop)
+                coefficients, ready = state.coefficients, state.ready
+                if rows.start == stop:
+                    continue
+            estimates[rows], winners, prices = exploit_stretch(coefficients, ready, contexts[rows])
+            allocated[rows] = winners
+            payments[rows] = comparison_prices[rows] = prices
+            reports[rows] = oracle.compare_stretch(utilities[rows], winners, prices)
         final_models = [
             {"sample_count": m.sample_count, "coefficients": m.coefficients.tolist()}
             for m in state.models

@@ -17,6 +17,8 @@ from .core import DimensionMismatchError
 
 __all__ = ["ValueModel", "estimate_mean_from_reports"]
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 class ValueModel:
     """Incremental linear model of one agent's expected utility per context.
@@ -36,7 +38,9 @@ class ValueModel:
     ridge = 1e-6
     prior_estimate = 0.5
 
-    __slots__ = ("dim", "min_samples", "sample_count", "gram", "moment", "_coef", "_stale")
+    __slots__ = (
+        "dim", "min_samples", "sample_count", "gram", "moment", "_coef", "_stale", "_ridge_eye",
+    )
 
     def __init__(self, dim: int) -> None:
         if dim < 1:
@@ -48,6 +52,7 @@ class ValueModel:
         self.moment = np.zeros(dim)
         self._coef = np.zeros(dim)
         self._stale = False
+        self._ridge_eye = self.ridge * np.eye(dim)
 
     def _check_context(self, context: np.ndarray) -> np.ndarray:
         context = np.asarray(context, dtype=float)
@@ -88,7 +93,7 @@ class ValueModel:
 
     def fit(self) -> np.ndarray:
         """Solve the regularized normal equations and cache the coefficients."""
-        self._coef = np.linalg.solve(self.gram + self.ridge * np.eye(self.dim), self.moment)
+        self._coef = np.linalg.solve(self.gram + self._ridge_eye, self.moment)
         self._stale = False
         return self._coef
 
@@ -101,12 +106,20 @@ class ValueModel:
 
     def predict(self, context: np.ndarray) -> float:
         """Estimated expected utility for one context, clamped to [0, 1]."""
-        context = self._check_context(context)
+        # A float64 array of the model's shape is used as it is; anything
+        # else is converted and checked.
+        if (
+            context.__class__ is not np.ndarray
+            or context.dtype is not _FLOAT64
+            or context.shape != (self.dim,)
+        ):
+            context = self._check_context(context)
         if self.sample_count < self.min_samples:
             return self.prior_estimate
         if self._stale:
             self.fit()
-        score = float(self._coef @ context)
+        score = float(self._coef.dot(context))
+        # Not np.clip: this maps -0.0 and NaN to 0.0.
         return min(1.0, max(0.0, score))
 
 

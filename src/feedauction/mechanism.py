@@ -8,13 +8,13 @@ runner-up estimate, which doubles as the comparison price. Reports from
 exploration rounds feed each agent's value model (optionally reports from all
 rounds, though non-uniform exploitation prices bias the identification).
 
-A model changes only in a round that trains it, so the rounds between two
-training rounds form a stretch of second-price auctions on frozen models.
-:func:`run_round` plays one round, training round or not, given its coin;
-:func:`exploit_stretch` plays a whole stretch at once from the stacked
-coefficients the state keeps next to its models. The uniform baseline is
-this mechanism at exploration rate 1 and makes the same exploration draw,
-for all of a run's rounds at once.
+A model changes only in a round that trains it, so every other round is a
+second-price auction on frozen models. :func:`run_round` plays one round,
+training round or not, given its coin; :func:`exploit_stretch` plays a block
+of frozen rounds at once, each from the stacked coefficients the state keeps
+next to its models, or from a copy of them taken after an earlier training
+round. The uniform baseline is this mechanism at exploration rate 1 and
+makes the same exploration draw, for all of a run's rounds at once.
 
 The mechanism observes agents only through a :class:`RoundOracle`: a yes/no
 comparison query. Realized utilities never enter any allocation, payment, or
@@ -172,9 +172,7 @@ class MechanismState:
 
     def refresh_estimates(self, contexts: np.ndarray) -> np.ndarray:
         """Predict every agent's value for one round's contexts."""
-        estimates = np.empty(len(self.models))
-        for i, model in enumerate(self.models):
-            estimates[i] = model.predict(contexts[i])
+        estimates = np.array([model.predict(c) for model, c in zip(self.models, contexts)], float)
         self.last_estimates = estimates
         return estimates
 
@@ -244,24 +242,25 @@ def run_round(
 
 
 def exploit_stretch(
-    state: MechanismState, contexts: np.ndarray
+    coefficients: np.ndarray, ready: np.ndarray, contexts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Play a stretch of exploitation rounds on frozen models, all at once.
+    """Play a block of exploitation rounds on frozen models, all at once.
 
-    ``contexts`` is the stretch's (rounds, n_agents, dim) block. No model
-    trains inside a stretch, so every round is estimated from the stacked
-    coefficients, exactly as ``ValueModel.predict`` would: the prior for an
-    agent that is not ready, else the linear score clamped to [0, 1]. Returns
-    the (rounds, n_agents) estimates and each round's winner and second
-    price.
+    ``contexts`` is the block's (rounds, n_agents, dim) array. ``coefficients``
+    and ``ready`` are the stacked models the rounds read: (n_agents, dim) and
+    (n_agents,) when every round reads the same models, or one (n_agents,
+    dim) and (n_agents,) row per round. Every round is estimated exactly as
+    ``ValueModel.predict`` would: the prior for an agent that is not ready,
+    else the linear score clamped to [0, 1]. Returns the (rounds, n_agents)
+    estimates and each round's winner and second price.
     """
     # Stacked (1, dim) @ (dim, 1) products take the same dot product as
-    # predict's ``coef @ context``, bit for bit; ``contexts @ coef`` and
+    # predict's ``coef.dot(context)``, bit for bit; ``contexts @ coef`` and
     # einsum sum in another order and differ in the last bit on many rows.
-    scores = np.matmul(contexts[:, :, None, :], state.coefficients[:, :, None])[..., 0, 0]
+    scores = np.matmul(contexts[:, :, None, :], coefficients[..., None])[..., 0, 0]
     # predict's min(1.0, max(0.0, score)) maps -0.0 to 0.0, which
     # np.maximum(0.0, score) does not.
     clamped = np.where(scores > 0.0, np.minimum(scores, 1.0), 0.0)
-    estimates = np.where(state.ready, clamped, ValueModel.prior_estimate)
+    estimates = np.where(ready, clamped, ValueModel.prior_estimate)
     winners, prices = second_price(estimates)
     return estimates, winners, prices

@@ -25,6 +25,8 @@ def small_config(tmp_path, out_dir, **extra):
         "output.dir": out_dir,
     }
     entries.update(extra)
+    if entries.get("data.source") == "csv":
+        del entries["features.dim"]  # a csv world takes its dimension from the corpus
     lines = [f"{key} = {value}" for key, value in entries.items()]
     return write_config(tmp_path, "\n".join(lines) + "\n")
 
@@ -75,6 +77,21 @@ class TestRunCommand:
         config = write_config(tmp_path, "mechanism = vcg\n")
         assert main(["run", "--config", config]) == 2
         assert capsys.readouterr().err.startswith("error [config]")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("data.source = csv\ndata.path = corpus.csv\nfeatures.dim = 3\n", "features.dim"),
+            ("horizon = 50\ndata.pca_components = 4\n", "data.pca_components"),
+        ],
+    )
+    def test_a_key_the_world_ignores_exits_2(self, tmp_path, capsys, text, key):
+        out_dir = tmp_path / "runs"
+        config = write_config(tmp_path, text)
+        assert main(["run", "--config", config, "--output-dir", str(out_dir)]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error [config]") and key in error
+        assert not out_dir.exists()
 
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 4

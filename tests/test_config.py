@@ -66,6 +66,39 @@ class TestFromText:
         config = ExperimentConfig.from_text("agents.theta_seed = 99\n")
         assert config.theta_seed == 99
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("features.dim", "3"),
+            ("agents.noise", "bernoulli"),
+            ("agents.noise_width", "0.1"),
+            ("agents.theta_seed", "5"),
+        ],
+    )
+    def test_a_csv_world_rejects_the_synthetic_keys(self, key, value):
+        text = f"data.source = csv\ndata.path = corpus.csv\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=f"{key} does not apply to a data.source = csv"):
+            ExperimentConfig.from_text(text)
+
+    @pytest.mark.parametrize("key, value", [("data.path", "corpus.csv"), ("data.pca_components", "4")])
+    def test_a_synthetic_world_rejects_the_corpus_keys(self, key, value):
+        for source in ("", "data.source = synthetic\n"):
+            with pytest.raises(ConfigError, match=f"{key} does not apply to a data.source = synthetic"):
+                ExperimentConfig.from_text(f"{source}{key} = {value}\n")
+
+    def test_each_world_takes_its_own_keys(self):
+        csv = ExperimentConfig.from_text(
+            "data.source = csv\ndata.path = corpus.csv\ndata.pca_components = 4\n"
+        )
+        assert (csv.data_path, csv.pca_components, csv.dim) == ("corpus.csv", 4, 5)
+        synthetic = ExperimentConfig.from_text(
+            "features.dim = 3\nagents.noise = bernoulli\nagents.noise_width = 0.1\n"
+            "agents.theta_seed = 5\n"
+        )
+        assert (synthetic.dim, synthetic.noise_kind, synthetic.theta_seed) == (3, "bernoulli", 5)
+        # The echo still lists every key, whichever world reads it.
+        assert csv.echo().keys() == synthetic.echo().keys() == ExperimentConfig().echo().keys()
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(SAMPLE)
@@ -168,8 +201,11 @@ class TestEcho:
         config = ExperimentConfig.from_text(SAMPLE)
         echo = config.echo()
         assert len(echo) == 21
+        # The echo lists every key, also those of the csv world, which a
+        # synthetic config may not set.
+        ignored = {"data.path", "data.pca_components"}
         rebuilt = ExperimentConfig.from_mapping(
-            {k: v for k, v in echo.items() if v is not None}
+            {k: v for k, v in echo.items() if v is not None and k not in ignored}
         )
         assert rebuilt == config
 

@@ -161,7 +161,7 @@ def prepared(corpus):
 
 
 class TestBatchedEngine:
-    """The engine that batches exploitation stretches replays the per-round loop."""
+    """The engine that settles frozen rounds in blocks replays the per-round loop."""
 
     STRATEGIES = ("truthful", "always_high", "inverted", "random:0.5", "threshold_shift:-0.2")
 
@@ -194,6 +194,105 @@ class TestBatchedEngine:
                 found = getattr(run, column)
                 assert found.dtype == expected.dtype, (column, price, strategy)
                 assert np.array_equal(found, expected), (column, price, strategy)
+
+    BLOCK = experiment._BLOCK_ROUNDS
+
+    @staticmethod
+    def assert_replays(config, prepared=None):
+        run = run_single(config, 0, prepared)
+        reference = per_round_reference(config, run)
+        assert run.final_models == reference.pop("final_models")
+        for column, expected in reference.items():
+            found = getattr(run, column)
+            assert found.dtype == expected.dtype, column
+            assert np.array_equal(found, expected), column
+        return run
+
+    @staticmethod
+    def block_config(**overrides):
+        base = dict(
+            horizon=1500, n_agents=4, dim=3, master_seed=63,
+            deviant_index=2, deviant_strategy="threshold_shift:-0.2",
+        )
+        base.update(overrides)
+        return ExperimentConfig(**base)
+
+    @pytest.mark.parametrize("offset", (-1, 0, 1))
+    def test_horizons_around_one_block(self, offset):
+        for strategy in ("truthful", "random:0.5", "inverted"):
+            self.assert_replays(
+                self.block_config(horizon=self.BLOCK + offset, deviant_strategy=strategy)
+            )
+
+    def test_a_frozen_stretch_spans_several_blocks(self):
+        # Forty rounds of exploration ready every model, then few train.
+        config = self.block_config(
+            horizon=4 * self.BLOCK, schedule_kind="constant", eta_constant=0.0005,
+            floor_rounds=40,
+        )
+        run = self.assert_replays(config)
+        training = np.flatnonzero(run.explored)
+        gaps = np.diff(np.concatenate([training, [config.horizon]]))
+        assert gaps.max() > 2 * self.BLOCK
+        assert all(model["sample_count"] >= config.dim for model in run.final_models)
+
+    def test_training_rounds_on_block_edges(self):
+        # A training round that opens a block after a frozen round, and one
+        # that closes a block before a frozen round.
+        edge = self.BLOCK
+        opens = closes = False
+        for seed in range(64, 100):
+            config = self.block_config(
+                horizon=edge + 200, schedule_kind="constant", eta_constant=0.3, master_seed=seed
+            )
+            run = run_single(config, 0, keep_records=False)
+            found_open = run.explored[edge] and not run.explored[edge - 1]
+            found_close = run.explored[edge - 1] and not run.explored[edge]
+            if (found_open and not opens) or (found_close and not closes):
+                self.assert_replays(config)
+                opens, closes = opens or found_open, closes or found_close
+            if opens and closes:
+                break
+        assert opens and closes
+
+    def test_a_model_becomes_ready_inside_a_block(self):
+        config = self.block_config(
+            horizon=3 * self.BLOCK, dim=6, schedule_kind="constant", eta_constant=0.05
+        )
+        run = self.assert_replays(config)
+        # An agent is ready at its dim-th training round; find one whose
+        # block has frozen rounds on both sides of that round.
+        inside = []
+        for agent in range(config.n_agents):
+            won = np.flatnonzero(run.explored & (run.allocated == agent))
+            ready_at = int(won[config.dim - 1])
+            start = ready_at - ready_at % self.BLOCK
+            frozen = np.flatnonzero(~run.explored[start:start + self.BLOCK]) + start
+            inside.append(frozen.min() < ready_at < frozen.max())
+        assert any(inside)
+
+    @pytest.mark.parametrize("strategy", ("random:0", "random:0.5", "random:1"))
+    def test_random_deviants_answer_in_round_order(self, strategy):
+        for policy in ("exploration_only", "all_allocations"):
+            self.assert_replays(
+                self.block_config(deviant_strategy=strategy, training_policy=policy)
+            )
+
+    def test_all_allocations_has_no_frozen_round(self):
+        for mechanism_name in ("feedback", "direct_regression"):
+            config = self.block_config(
+                mechanism=mechanism_name, training_policy="all_allocations"
+            )
+            self.assert_replays(config)
+
+    def test_a_csv_world_at_dimension_30(self):
+        corpus_30 = generate_synthetic_dataset(300, 32, 3)
+        config = self.block_config(
+            horizon=2 * self.BLOCK + 100, n_agents=6,
+            data_source="csv", data_path="corpus.csv", pca_components=30,
+        )
+        run = self.assert_replays(config, prepare_dataset(corpus_30, 30))
+        assert run.contexts.shape[2] == 30
 
     def test_the_schedule_is_computed_once_per_round(self, monkeypatch):
         # A learned run evaluates exploration_rate once per round, in

@@ -65,6 +65,65 @@ def test_dimension_mismatch_rejected():
         model.ingest_batch(np.ones((4, 3)), np.ones(5))
 
 
+class _Checked(np.ndarray):
+    """An ndarray subclass: ``predict`` converts and checks it like any other input."""
+
+
+def trained_model(dim, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    model = ValueModel(dim)
+    for _ in range(dim + 3):
+        model.ingest(rng.random(dim), float(rng.random() < 0.5))
+    return model
+
+
+class TestPredictInputs:
+    """Float64 arrays of the model's shape skip the conversion; other inputs do not."""
+
+    def test_converted_inputs_equal_their_float64_array(self):
+        model = trained_model(3, 1)
+        for context in ([0.25, 0.5, 0.25], np.array([1, 0, 2]), np.array([0.2, 0.3, 0.5], "f4")):
+            expected = model.predict(np.asarray(context, dtype=float))
+            assert model.predict(context) == expected
+            assert model.predict(np.asarray(context).view(_Checked)) == expected
+
+    def test_a_column_view_equals_the_checked_path(self):
+        rng = np.random.Generator(np.random.PCG64(2))
+        for dim in (3, 5, 30):
+            model = trained_model(dim, dim)
+            matrix = rng.random((dim, 4))
+            for j in range(4):
+                view = matrix[:, j]
+                assert not view.flags.c_contiguous
+                assert model.predict(view) == model.predict(view.view(_Checked))
+
+    def test_wrong_shapes_raise(self):
+        model = trained_model(3, 3)
+        for context in (np.zeros(2), np.zeros((1, 3)), np.zeros((3, 1)), [1.0, 2.0], 0.5):
+            with pytest.raises(DimensionMismatchError):
+                model.predict(context)
+
+    @pytest.mark.parametrize(
+        "coefficient, expected", [(-1.0, 0.0), (float("nan"), 0.0), (1.5, 1.0), (-3.0, 0.0)]
+    )
+    def test_scores_clamp_as_min_max(self, coefficient, expected):
+        # Scores of -0.0 (-1 * 0), NaN, 1.5 and -3 on a ready one-feature model.
+        model = ValueModel(1)
+        model.ingest(np.array([1.0]), 1.0)
+        model._coef, model._stale = np.array([coefficient]), False
+        context = np.array([0.0 if coefficient == -1.0 else 1.0])
+        found = model.predict(context)
+        assert found == expected and not np.signbit(found)
+        assert found == min(1.0, max(0.0, float(model.coefficients.dot(context))))
+
+
+def test_fit_equals_a_solve_with_a_fresh_identity():
+    for dim in (1, 3, 5, 30):
+        model = trained_model(dim, 10 + dim)
+        expected = np.linalg.solve(model.gram + ValueModel.ridge * np.eye(dim), model.moment)
+        assert model.fit().tobytes() == expected.tobytes()
+
+
 def test_batch_ingestion_matches_incremental():
     rng = np.random.Generator(np.random.PCG64(5))
     contexts = rng.random((40, 4))

@@ -208,7 +208,7 @@ class TestExploitStretch:
             contexts = np.random.Generator(np.random.PCG64(100 + seed)).dirichlet(
                 np.ones(3), size=(300, 4)
             )
-            estimates, winners, prices = exploit_stretch(state, contexts)
+            estimates, winners, prices = exploit_stretch(state.coefficients, state.ready, contexts)
             expected = np.array(
                 [[m.predict(c) for m, c in zip(state.models, row)] for row in contexts]
             )
@@ -216,6 +216,24 @@ class TestExploitStretch:
             for row, winner, price in zip(expected, winners, prices):
                 assert second_price(row) == (winner, price)
         assert not state.ready[:2].any() and state.ready[2:].all()
+
+    def test_per_round_models_equal_one_call_per_model_set(self):
+        # Rounds that read different stacked models, gathered into one call,
+        # get the estimates of one call per set of models.
+        states = [self.trained_state(seed, samples=(0, 3, 5, 40)) for seed in range(3)]
+        states[0].ready[:] = False
+        rng = np.random.Generator(np.random.PCG64(7))
+        contexts = rng.dirichlet(np.ones(3), size=(200, 4))
+        which = rng.integers(len(states), size=200)
+        coefficients = np.stack([state.coefficients for state in states])[which]
+        ready = np.stack([state.ready for state in states])[which]
+        estimates, winners, prices = exploit_stretch(coefficients, ready, contexts)
+        for k, state in enumerate(states):
+            rows = which == k
+            expected = exploit_stretch(state.coefficients, state.ready, contexts[rows])
+            assert estimates[rows].tobytes() == expected[0].tobytes()
+            np.testing.assert_array_equal(winners[rows], expected[1])
+            assert prices[rows].tobytes() == expected[2].tobytes()
 
     def test_prior_and_clamped_rows(self):
         state = new_state(3, 2, 5)
@@ -231,7 +249,7 @@ class TestExploitStretch:
             [[0.5, 0.5], [0.0, 1.0], [0.0, -0.0]],
             [[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]],
         ])
-        estimates, _, _ = exploit_stretch(state, contexts)
+        estimates, _, _ = exploit_stretch(state.coefficients, state.ready, contexts)
         for model, coefficients in zip(state.models[1:], state.coefficients[1:]):
             model._coef, model._stale = coefficients.copy(), False
         expected = np.array(

@@ -11,9 +11,9 @@ run (``--trace 1``) at seed 0. Every run is ``python3 perfbench/run.py`` in
 the checkout's own directory, which imports the program from that checkout.
 
 The file keeps each run's result line and ``env`` line (nproc, Python,
-numpy, BLAS, git SHA), a digest of the checkout's ``src/`` tree, per
-checkout the median of each end-to-end metric, and the ratio of each later
-checkout's medians to the first checkout's. Compare only checkouts
+numpy, BLAS, git SHA), a digest of the checkout's ``src/`` tree and its line
+count, per checkout the median of each end-to-end metric, and the ratio of
+each later checkout's medians to the first checkout's. Compare only checkouts
 recorded together on one machine. Standard library only.
 """
 
@@ -40,6 +40,11 @@ def src_digest(checkout: Path) -> str:
         digest.update(str(path.relative_to(checkout)).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the checkout's ``src/`` Python files, the ROADMAP's size measure."""
+    return sum(len(path.read_bytes().splitlines()) for path in (checkout / "src").rglob("*.py"))
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -120,7 +125,7 @@ def main(argv=None) -> int:
         "traced_seconds": args.traced_seconds,
         "first_seed": args.seed,
         "checkouts": {
-            name: {"src_digest": src_digest(path)}
+            name: {"src_digest": src_digest(path), "src_lines": src_lines(path)}
             for name, path in checkouts.items()
         },
         "workloads": {
