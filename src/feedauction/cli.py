@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import _IGNORED_KEYS, ConfigError, ExperimentConfig
 from .core import ConfigurationError
 from .dataio import (
     ConvergenceError,
@@ -294,8 +294,10 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 def _cmd_validate_config(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_file(args.config)
     print("ok")
+    ignored = _IGNORED_KEYS[config.data_source]  # the other world's keys would not load back
     for key, value in sorted(config.echo().items()):
-        print(f"{key} = {value}")
+        if key not in ignored:
+            print(f"{key} = {value}")
     return 0
 
 

@@ -408,6 +408,8 @@ def read_run(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
         rows = [json.loads(line) for line in lines[1:]]
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: bad JSON: {exc}") from None
+    if not isinstance(metadata, dict):
+        raise ParseError(f"{path}: line 1: the metadata is not a JSON object")
     if metadata.get("schema") != RUN_SCHEMA:
         raise ParseError(f"{path}: unknown schema {metadata.get('schema')!r}")
     if metadata.get("n_rounds") != len(rows):

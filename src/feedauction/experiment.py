@@ -14,7 +14,6 @@ prices stay in the run's columns, next to each round's decisions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any
 
@@ -70,9 +69,10 @@ class RunResult:
 
 _TRUTHFUL = Strategy()
 
-# The most rounds a learned run settles in one exploit_stretch call. It bounds
-# the memory of the gathered rounds: 512 raised the peak RSS of a d = 30 run
-# by about 3%, 256 did not measurably.
+# The most rounds a learned run settles in one exploit_stretch call, and the
+# most pending frozen rounds it lets build up before a training round. It
+# bounds the memory of the gathered rounds and kept model versions: 512 raised
+# the peak RSS of a d = 30 run by about 3%, 256 did not measurably.
 _BLOCK_ROUNDS = 256
 
 
@@ -82,12 +82,13 @@ class _PopulationOracle:
     Every agent but ``deviant`` (``None`` for none) reports truthfully.
     ``run_single`` points ``utilities_now`` at the current round's realized
     utilities before each training round, which it plays through the
-    per-round mechanism call, and asks the winners of the frozen rounds in
-    between with ``compare_stretch``. Only the ``random`` reporting strategy
-    consumes stream randomness, so truthful populations keep the deviant's
-    report stream untouched. A ``random`` deviant (``answers_in_order``)
-    must be asked in round order, so ``run_single`` settles the frozen
-    rounds before each training round for it.
+    per-round mechanism call, and asks the winners of the frozen rounds
+    with ``compare_stretch``, in batches that may span several stretches.
+    Only the ``random`` reporting strategy consumes stream randomness, so
+    truthful populations keep the deviant's report stream untouched. A
+    ``random`` deviant (``answers_in_order``) must be asked in round order,
+    so ``run_single`` settles the pending frozen rounds before each training
+    round for it.
     """
 
     __slots__ = ("deviant", "strategy", "report_stream", "utilities_now", "answers_in_order")
@@ -266,68 +267,61 @@ def run_single(
         reports = np.empty(horizon, dtype=bool)
         estimates = np.empty((horizon, n_agents))
         eta, explored = exploration_schedule(state, horizon)
-        if config.training_policy == "exploration_only":
-            trains = explored
-        else:
-            trains = np.ones(horizon, dtype=bool)
-        training = np.flatnonzero(trains).tolist()
-        # Blocks of at most _BLOCK_ROUNDS rounds. A population that answers
-        # from its report stream also starts a block at each training round,
-        # so that every round's answer is drawn in round order.
-        edges = set(range(0, horizon, _BLOCK_ROUNDS))
-        if oracle.answers_in_order:
-            edges.update(training)
-        edges = sorted(edges) + [horizon]
-        # Snapshot k of a block: the stacked models after its k-th training
-        # round. A block's frozen rounds are gathered into two buffers that
-        # last the run; fresh (rounds, agents, dim) arrays in every block
-        # left the heap 2-4% larger at its peak.
-        shape = (_BLOCK_ROUNDS + 1,) + state.coefficients.shape
-        coefficient_snapshots = np.empty(shape)
-        row_coefficients, row_contexts = np.empty(shape), np.empty(shape)
-        ready_snapshots = np.empty((_BLOCK_ROUNDS + 1, n_agents), dtype=bool)
-        first = 0
-        for start, stop in zip(edges, edges[1:]):
-            last = bisect_left(training, stop, first)
-            block_training = training[first:last]
-            first = last
-            # The frozen rounds after the block's last training round read
-            # the current models; only a frozen round before it needs a snapshot.
-            gather = bool(block_training) and block_training[-1] - start >= len(block_training)
-            if gather:
-                coefficient_snapshots[0] = state.coefficients
-                ready_snapshots[0] = state.ready
-            for k, ti in enumerate(block_training, 1):
-                oracle.utilities_now = utilities[ti]
-                record = learned_round(state, contexts[ti], oracle, bool(explored[ti]))
-                allocated[ti] = record.allocated_agent
-                payments[ti] = record.payment
-                comparison_prices[ti] = record.comparison_price
-                reports[ti] = record.report
-                estimates[ti] = state.last_estimates
-                if gather:
-                    coefficient_snapshots[k] = state.coefficients
-                    ready_snapshots[k] = state.ready
-            if gather:
-                block_trains = trains[start:stop]
-                frozen = np.flatnonzero(~block_trains)
-                snapshot = np.cumsum(block_trains)[frozen]
-                rows = frozen + start
-                coefficients = np.take(
-                    coefficient_snapshots, snapshot, axis=0, out=row_coefficients[: rows.size]
-                )
-                ready = ready_snapshots[snapshot]
-                block_contexts = np.take(contexts, rows, axis=0, out=row_contexts[: rows.size])
-            else:
-                rows = slice(start + len(block_training), stop)
-                if rows.start == stop:
-                    continue
-                coefficients, ready = state.coefficients, state.ready
-                block_contexts = contexts[rows]
-            estimates[rows], winners, prices = exploit_stretch(coefficients, ready, block_contexts)
-            allocated[rows] = winners
-            payments[rows] = comparison_prices[rows] = prices
-            reports[rows] = oracle.compare_stretch(utilities[rows], winners, prices)
+        trains = explored if config.training_policy == "exploration_only" else np.ones(horizon, bool)
+        # A stretch, a maximal run of frozen rounds, reads the models kept
+        # after the training round before it (round 1 always explores, as
+        # floor_rounds >= 1 makes its rate 1). Stretch k keeps its version in
+        # ring row k % _BLOCK_ROUNDS; settling once _BLOCK_ROUNDS frozen rounds
+        # are pending leaves fewer stretches than that unsettled.
+        frozen, training = np.flatnonzero(~trains), np.flatnonzero(trains).tolist()
+        version = (np.cumsum(np.diff(frozen, prepend=-2) > 1) - 1) % _BLOCK_ROUNDS
+        # Gathered rows go into buffers that last the run; fresh (rounds,
+        # agents, dim) arrays left the heap 2-4% larger at its peak.
+        shape = (_BLOCK_ROUNDS,) + state.coefficients.shape
+        versions, row_coefs, row_contexts = (np.empty(shape) for _ in range(3))
+        versions_ready = np.empty((_BLOCK_ROUNDS, n_agents), dtype=bool)
+        # A population that answers from its report stream is asked in round
+        # order, so its frozen rounds are settled before each training round.
+        settle_at = 1 if oracle.answers_in_order else _BLOCK_ROUNDS
+        settled = kept = 0
+
+        def settle(pending: int) -> None:
+            # Plays the frozen rounds settled..pending-1, _BLOCK_ROUNDS at a time.
+            nonlocal settled
+            for first in range(settled, pending, _BLOCK_ROUNDS):
+                stop = min(first + _BLOCK_ROUNDS, pending)
+                start_round, stop_round = frozen[first], frozen[stop - 1] + 1
+                if stop_round - start_round == stop - first:  # one stretch, one version
+                    rows, read = slice(start_round, stop_round), version[first]
+                    chunk, coefficients = contexts[rows], versions[read]
+                else:
+                    # mode="clip" takes into the buffer; "raise" would use a temporary.
+                    rows, read, size = frozen[first:stop], version[first:stop], stop - first
+                    chunk = np.take(contexts, rows, axis=0, out=row_contexts[:size], mode="clip")
+                    coefficients = np.take(versions, read, axis=0, out=row_coefs[:size], mode="clip")
+                ready = versions_ready[read]
+                estimates[rows], winners, prices = exploit_stretch(coefficients, ready, chunk)
+                allocated[rows] = winners
+                payments[rows] = comparison_prices[rows] = prices
+                reports[rows] = oracle.compare_stretch(utilities[rows], winners, prices)
+            settled = pending
+
+        # Training round i is round ti, so ti - i frozen rounds come before it.
+        for i, (ti, next_ti) in enumerate(zip(training, training[1:] + [horizon])):
+            if ti - i - settled >= settle_at:
+                settle(ti - i)
+            oracle.utilities_now = utilities[ti]
+            record = learned_round(state, contexts[ti], oracle, bool(explored[ti]))
+            allocated[ti] = record.allocated_agent
+            payments[ti] = record.payment
+            comparison_prices[ti] = record.comparison_price
+            reports[ti] = record.report
+            estimates[ti] = state.last_estimates
+            if next_ti > ti + 1:  # a stretch follows
+                versions[kept % _BLOCK_ROUNDS] = state.coefficients
+                versions_ready[kept % _BLOCK_ROUNDS] = state.ready
+                kept += 1
+        settle(frozen.size)
         final_models = [
             {"sample_count": m.sample_count, "coefficients": m.coefficients.tolist()}
             for m in state.models

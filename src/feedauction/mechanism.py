@@ -10,11 +10,11 @@ rounds, though non-uniform exploitation prices bias the identification).
 
 A model changes only in a round that trains it, so every other round is a
 second-price auction on frozen models. :func:`run_round` plays one round,
-training round or not, given its coin; :func:`exploit_stretch` plays a block
-of frozen rounds at once, each from the stacked coefficients the state keeps
-next to its models, or from a copy of them taken after an earlier training
-round. The uniform baseline is this mechanism at exploration rate 1 and
-makes the same exploration draw, for all of a run's rounds at once.
+training round or not, given its coin; :func:`exploit_stretch` plays many
+frozen rounds at once, from the stacked coefficients the state keeps next to
+its models or from versions of them kept after earlier training rounds. The
+uniform baseline is this mechanism at exploration rate 1 and makes the same
+exploration draw, for all of a run's rounds at once.
 
 The mechanism observes agents only through a :class:`RoundOracle`: a yes/no
 comparison query. Realized utilities never enter any allocation, payment, or

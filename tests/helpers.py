@@ -3,7 +3,7 @@
 These deliberately avoid the library's own code paths: the Jacobi
 eigensolver checks the power-iteration PCA, the dense least-squares solver
 checks the incremental sufficient-statistics fit, and the per-round loops
-check the engine that settles frozen rounds in blocks and the baselines that
+check the engine that settles frozen rounds in batches and the baselines that
 decide a whole run in one call.
 """
 
@@ -51,7 +51,7 @@ def dense_ridge_solve(design: np.ndarray, targets: np.ndarray, ridge: float) -> 
 def per_round_reference(config, run):
     """Replay a learned run with the per-round loop: coin, estimates and refit in each round.
 
-    The engine settles the rounds between training rounds in blocks; this
+    The engine settles the rounds between training rounds in batches; this
     loop plays every round on its own, drawing the round's coin inside the
     round and refitting models lazily through ``ValueModel.predict``, as the
     engine did before it batched. It reads only the run's world (contexts,

@@ -5,6 +5,7 @@ import pytest
 
 from feedauction import cli
 from feedauction.cli import main
+from feedauction.config import ExperimentConfig
 from feedauction.dataio import load_examples, read_run
 
 
@@ -302,6 +303,18 @@ class TestReportCommand:
         assert str(ledger) in err and repr(missing) in err
         assert not report_dir.exists()
 
+    @pytest.mark.parametrize("first_line", ["[1]", '"x"', "3", "null"])
+    def test_metadata_that_is_not_an_object_exits_3(self, tmp_path, capsys, first_line):
+        # Valid JSON that is not an object used to end in an AttributeError traceback.
+        ledger = tmp_path / "not_an_object.jsonl"
+        ledger.write_text(first_line + "\n")
+        report_dir = tmp_path / "report"
+        assert main(["report", str(ledger), "--out", str(report_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [data]")
+        assert f"{ledger}: line 1" in err
+        assert not report_dir.exists()
+
     @staticmethod
     def report_on_second_row(tmp_path, **row):
         # A two-round ledger whose second row takes ``row``'s values.
@@ -409,7 +422,20 @@ class TestValidateConfigCommand:
         assert lines[0] == "ok"
         assert "horizon = 200" in lines
         assert "schedule.kind = slow" in lines  # defaulted, still echoed
-        assert len(lines) == 22  # "ok" + every effective parameter
+        assert len(lines) == 20  # "ok" + every parameter a synthetic world reads
+        assert not any(line.startswith("data.p") for line in lines)
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_the_echo_loads_back_as_the_same_config(self, tmp_path, capsys, source):
+        # A synthetic config used to echo data.path and data.pca_components,
+        # which a synthetic config file may not set.
+        extra = {"data.source": "csv", "data.path": "corpus.csv"} if source == "csv" else {}
+        config = small_config(tmp_path, tmp_path / "runs", **extra)
+        assert main(["validate-config", "--config", config]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "ok"
+        echo = write_config(tmp_path, "\n".join(lines[1:]) + "\n", name="echo.cfg")
+        assert ExperimentConfig.from_file(echo) == ExperimentConfig.from_file(config)
 
     def test_invalid_file_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, "horizon = 0\n")

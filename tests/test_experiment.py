@@ -161,7 +161,7 @@ def prepared(corpus):
 
 
 class TestBatchedEngine:
-    """The engine that settles frozen rounds in blocks replays the per-round loop."""
+    """The engine that settles frozen rounds in batches replays the per-round loop."""
 
     STRATEGIES = ("truthful", "always_high", "inverted", "random:0.5", "threshold_shift:-0.2")
 
@@ -277,6 +277,46 @@ class TestBatchedEngine:
             self.assert_replays(
                 self.block_config(deviant_strategy=strategy, training_policy=policy)
             )
+
+    def test_many_one_round_stretches_nearly_fill_the_versions(self):
+        # Nine rounds in ten explore, so most stretches are one round long:
+        # the first settle reads over 200 versions, and the run keeps more
+        # versions than the ring has rows.
+        config = self.block_config(
+            horizon=16 * self.BLOCK, schedule_kind="constant", eta_constant=0.9
+        )
+        run = self.assert_replays(config)
+        frozen = np.flatnonzero(~run.explored)
+        stretches = np.flatnonzero(np.diff(frozen) > 1) + 1  # positions where a stretch starts
+        assert stretches.size + 1 > self.BLOCK
+        assert (stretches < self.BLOCK).sum() + 1 > 200
+
+    def test_settles_of_exactly_one_block(self):
+        # _BLOCK_ROUNDS frozen rounds pending before a training round, and at
+        # the end of a run that stops on its _BLOCK_ROUNDS-th frozen round.
+        for seed in range(64, 100):
+            config = self.block_config(
+                horizon=4 * self.BLOCK, schedule_kind="constant", eta_constant=0.5,
+                master_seed=seed,
+            )
+            run = run_single(config, 0, keep_records=False)
+            last = int(np.flatnonzero(~run.explored)[self.BLOCK - 1])
+            if run.explored[last + 1]:
+                break
+        assert run.explored[last + 1]
+        self.assert_replays(config)
+        short = self.assert_replays(config.replace(horizon=last + 1))
+        assert (~short.explored).sum() == self.BLOCK and not short.explored[-1]
+
+    def test_a_random_deviants_last_stretch_spans_several_chunks(self):
+        config = self.block_config(
+            horizon=4 * self.BLOCK, schedule_kind="constant", eta_constant=0.0005,
+            floor_rounds=40, deviant_strategy="random:0.5",
+        )
+        run = self.assert_replays(config)
+        last_training = np.flatnonzero(run.explored)[-1]
+        assert config.horizon - 1 - last_training > 2 * self.BLOCK
+        assert (run.allocated[last_training + 1:] == config.deviant_index).any()
 
     def test_all_allocations_has_no_frozen_round(self):
         for mechanism_name in ("feedback", "direct_regression"):

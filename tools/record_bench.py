@@ -13,8 +13,11 @@ the checkout's own directory, which imports the program from that checkout.
 The file keeps each run's result line and ``env`` line (nproc, Python,
 numpy, BLAS, git SHA), a digest of the checkout's ``src/`` tree and its line
 count, per checkout the median of each end-to-end metric, and the ratio of
-each later checkout's medians to the first checkout's. Compare only checkouts
-recorded together on one machine. Standard library only.
+each later checkout's medians to the first checkout's. The result line's
+times are scaled to the reference job's nominal speed; each untraced run
+also keeps the unscaled ``raw`` times that ``perfbench/run.py`` saves under
+``perfbench/results/``, and ``median_raw`` their medians. Compare only
+checkouts recorded together on one machine. Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep-deviation", "moderation", "ledger")
 END_TO_END = ("setup_s", "wall_s", "rounds_per_s", "peak_rss_mb")
+RAW = ("setup_s", "wall_s", "rounds_per_s")
 
 
 def src_digest(checkout: Path) -> str:
@@ -48,7 +52,7 @@ def src_lines(checkout: Path) -> int:
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run; its ``env`` line and its result line."""
+    """One ``perfbench/run.py`` run: its ``env`` and result lines, and untraced its raw times."""
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
@@ -57,7 +61,7 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trac
     lines = done.stdout.strip().splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     result = json.loads(lines[-1])
-    return {
+    run = {
         "seed": seed,
         "trace": trace,
         "env": env,
@@ -66,6 +70,11 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trac
         "failed": result["failed"],
         "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
     }
+    if not trace:
+        saved = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+        raw = json.loads(saved.read_text())["raw"]
+        run["raw"] = {k: raw[k] for k in RAW}
+    return run
 
 
 def record_workload(checkouts: dict[str, Path], workload: str, args) -> dict:
@@ -86,12 +95,19 @@ def record_workload(checkouts: dict[str, Path], workload: str, args) -> dict:
         name: {k: statistics.median(r["metrics"][k] for r in runs[name]) for k in END_TO_END}
         for name in names
     }
+    medians_raw = {
+        name: {k: statistics.median(r["raw"][k] for r in runs[name]) for k in RAW}
+        for name in names
+    }
     first = medians[names[0]]
     ratios = {
         name: {k: medians[name][k] / first[k] if first[k] else None for k in END_TO_END}
         for name in names[1:]
     }
-    return {"untraced": runs, "traced": traced, "median": medians, f"ratio_to_{names[0]}": ratios}
+    return {
+        "untraced": runs, "traced": traced, "median": medians, "median_raw": medians_raw,
+        f"ratio_to_{names[0]}": ratios,
+    }
 
 
 def parse_args(argv):
