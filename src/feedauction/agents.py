@@ -134,6 +134,10 @@ def sample_simplex(stream: RngStream, shape: tuple[int, ...], dim: int) -> np.nd
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    uniforms = stream.random(tuple(shape) + (dim,))
-    exponentials = -np.log(np.maximum(uniforms, 1e-300))
-    return exponentials / exponentials.sum(axis=-1, keepdims=True)
+    # Every step writes into the drawn array, so no temporary of its size is made.
+    draws = stream.random(tuple(shape) + (dim,))
+    np.maximum(draws, 1e-300, out=draws)
+    np.log(draws, out=draws)
+    np.negative(draws, out=draws)
+    draws /= draws.sum(axis=-1, keepdims=True)
+    return draws

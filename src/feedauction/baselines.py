@@ -33,20 +33,24 @@ def oracle_round(true_means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def direct_regression_round(
-    state: MechanismState, contexts: np.ndarray, oracle: RoundOracle, explored: bool
+    state: MechanismState,
+    contexts: np.ndarray,
+    oracle: RoundOracle,
+    draw: tuple[int, float] | None,
 ) -> RoundRecord:
     """One round of the exact-value regression baseline.
 
     Identical to the feedback mechanism's round in every pre- and
     post-condition except that model training targets the realized utility
     rather than the binary report, which :func:`run_round` does exactly when
-    the state's config names this mechanism.
+    the state's config names this mechanism. ``draw`` is the round's
+    exploration draw, or ``None`` on exploitation, as for ``run_round``.
     """
     if state.config.mechanism != "direct_regression":
         raise ConfigurationError(
             "direct regression needs a state whose config has mechanism = direct_regression"
         )
-    return run_round(state, contexts, oracle, explored)
+    return run_round(state, contexts, oracle, draw)
 
 
 def uniform_round(state: MechanismState, rounds: int) -> tuple[np.ndarray, np.ndarray]:

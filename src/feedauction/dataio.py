@@ -403,11 +403,16 @@ def read_run(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
         lines = handle.read().splitlines()
     if not lines:
         raise ParseError(f"{path}: file is empty")
+    records = []
+    number = 0
     try:
-        metadata = json.loads(lines[0])
-        rows = [json.loads(line) for line in lines[1:]]
+        for number, line in enumerate(lines, 1):
+            records.append(json.loads(line))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: bad JSON: {exc}") from None
+        raise ParseError(
+            f"{path}: line {number}: bad JSON: {exc.msg} (column {exc.colno})"
+        ) from None
+    metadata, rows = records[0], records[1:]
     if not isinstance(metadata, dict):
         raise ParseError(f"{path}: line 1: the metadata is not a JSON object")
     if metadata.get("schema") != RUN_SCHEMA:

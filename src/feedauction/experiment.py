@@ -24,7 +24,7 @@ from .baselines import direct_regression_round, oracle_round, uniform_round
 from .config import ExperimentConfig
 from .core import CODE_VERSION, RngStream, derive_seed, derive_stream
 from .dataio import CATEGORIES, FeatureScaler, LabeledExample, pca_fit, pca_transform
-from .mechanism import MechanismState, exploit_stretch, exploration_rate, run_round
+from .mechanism import MechanismState, _explore, exploit_stretch, exploration_rate, run_round
 from .metrics import oracle_prices
 
 __all__ = [
@@ -88,7 +88,8 @@ class _PopulationOracle:
     truthful populations keep the deviant's report stream untouched. A
     ``random`` deviant (``answers_in_order``) must be asked in round order,
     so ``run_single`` settles the pending frozen rounds before each training
-    round for it.
+    round that may ask it: one whose drawn winner is the deviant, or one
+    that exploits and trains.
     """
 
     __slots__ = ("deviant", "strategy", "report_stream", "utilities_now", "answers_in_order")
@@ -210,12 +211,12 @@ def _dataset_world(
 def exploration_schedule(state: MechanismState, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """The run's exploration rates and coins: ``(eta, explored)`` per round.
 
-    Each rate is the scalar :func:`exploration_rate` of its round; a
-    vectorised power is off by one ulp on some rounds, which can flip a
-    coin. The coins are one batched draw from the state's coin stream, which
-    gives the same values as one draw per round.
+    The rates are one :func:`exploration_rate` call over every round, equal
+    bit for bit to its scalar rates, so no coin flips. The coins are one
+    batched draw from the state's coin stream, which gives the same values
+    as one draw per round.
     """
-    eta = np.array([exploration_rate(state.config, t) for t in range(1, horizon + 1)])
+    eta = exploration_rate(state.config, np.arange(1, horizon + 1))
     return eta, state.coin_stream.random(horizon) < eta
 
 
@@ -267,6 +268,12 @@ def run_single(
         reports = np.empty(horizon, dtype=bool)
         estimates = np.empty((horizon, n_agents))
         eta, explored = exploration_schedule(state, horizon)
+        # Every explored round's winner and price, drawn before round 1: they
+        # come from the agent and price streams, whatever the models are.
+        drawn_winners, drawn_prices = _explore(state, int(explored.sum()))
+        allocated[explored], comparison_prices[explored] = drawn_winners, drawn_prices
+        payments[explored] = 0.0
+        draws = iter(zip(drawn_winners.tolist(), drawn_prices.tolist()))
         trains = explored if config.training_policy == "exploration_only" else np.ones(horizon, bool)
         # A stretch, a maximal run of frozen rounds, reads the models kept
         # after the training round before it (round 1 always explores, as
@@ -280,9 +287,6 @@ def run_single(
         shape = (_BLOCK_ROUNDS,) + state.coefficients.shape
         versions, row_coefs, row_contexts = (np.empty(shape) for _ in range(3))
         versions_ready = np.empty((_BLOCK_ROUNDS, n_agents), dtype=bool)
-        # A population that answers from its report stream is asked in round
-        # order, so its frozen rounds are settled before each training round.
-        settle_at = 1 if oracle.answers_in_order else _BLOCK_ROUNDS
         settled = kept = 0
 
         def settle(pending: int) -> None:
@@ -308,15 +312,20 @@ def run_single(
 
         # Training round i is round ti, so ti - i frozen rounds come before it.
         for i, (ti, next_ti) in enumerate(zip(training, training[1:] + [horizon])):
-            if ti - i - settled >= settle_at:
+            draw = next(draws) if explored[ti] else None
+            # A population that answers from its report stream is asked in
+            # round order, so the frozen rounds before a training round that
+            # may ask the deviant are settled first.
+            asks_in_order = oracle.answers_in_order and (draw is None or draw[0] == deviant)
+            if ti - i - settled >= (1 if asks_in_order else _BLOCK_ROUNDS):
                 settle(ti - i)
             oracle.utilities_now = utilities[ti]
-            record = learned_round(state, contexts[ti], oracle, bool(explored[ti]))
-            allocated[ti] = record.allocated_agent
-            payments[ti] = record.payment
-            comparison_prices[ti] = record.comparison_price
+            record = learned_round(state, contexts[ti], oracle, draw)
             reports[ti] = record.report
             estimates[ti] = state.last_estimates
+            if draw is None:  # an exploitation round that trains (all_allocations)
+                allocated[ti] = record.allocated_agent
+                payments[ti] = comparison_prices[ti] = record.payment
             if next_ti > ti + 1:  # a stretch follows
                 versions[kept % _BLOCK_ROUNDS] = state.coefficients
                 versions_ready[kept % _BLOCK_ROUNDS] = state.ready

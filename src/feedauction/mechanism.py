@@ -1,20 +1,24 @@
 """Epsilon-greedy auction loop with learned second-price payments.
 
-Each round the mechanism flips a coin with the schedule's exploration rate.
-On exploration it allocates uniformly at random for free and asks the winner
-to compare its utility against a uniform random price; on exploitation it
+Each round the mechanism explores with the schedule's exploration rate. On
+exploration it allocates uniformly at random for free and asks the winner to
+compare its utility against a uniform random price; on exploitation it
 allocates to the agent with the highest estimated value and charges the
 runner-up estimate, which doubles as the comparison price. Reports from
 exploration rounds feed each agent's value model (optionally reports from all
 rounds, though non-uniform exploitation prices bias the identification).
 
-A model changes only in a round that trains it, so every other round is a
+Nothing about exploration depends on the models: the coins, and the winner
+and price of every explored round, come from the schedule and the agent and
+price streams, so a run draws all of them before its first round. A model
+changes only in a round that trains it, so every other round is a
 second-price auction on frozen models. :func:`run_round` plays one round,
-training round or not, given its coin; :func:`exploit_stretch` plays many
-frozen rounds at once, from the stacked coefficients the state keeps next to
-its models or from versions of them kept after earlier training rounds. The
-uniform baseline is this mechanism at exploration rate 1 and makes the same
-exploration draw, for all of a run's rounds at once.
+training round or not, given its exploration draw or ``None``;
+:func:`exploit_stretch` plays many frozen rounds at once, from the stacked
+coefficients the state keeps next to its models or from versions of them
+kept after earlier training rounds. The uniform baseline is this mechanism
+at exploration rate 1 and makes the same exploration draw, for all of a
+run's rounds at once.
 
 The mechanism observes agents only through a :class:`RoundOracle`: a yes/no
 comparison query. Realized utilities never enter any allocation, payment, or
@@ -51,7 +55,7 @@ SCHEDULE_KINDS = ("slow", "fast", "constant")
 TRAINING_POLICIES = ("exploration_only", "all_allocations")
 
 
-def exploration_rate(config: ExperimentConfig, t: int) -> float:
+def exploration_rate(config: ExperimentConfig, t):
     """Probability of exploring in round ``t`` (1-based), always in [0, 1].
 
     ``slow`` decays like t^(-1/3) and ``fast`` like t^(-1/2), both carrying a
@@ -59,20 +63,42 @@ def exploration_rate(config: ExperimentConfig, t: int) -> float:
     ``epsilon``. ``constant`` holds the rate at ``eta_constant``. All kinds
     return 1.0 for the first ``floor_rounds`` rounds so every agent can be
     sampled before the formulas (whose log factor vanishes at t = 1) engage.
+
+    ``t`` is one round, which gives a float, or an integer array of rounds,
+    which gives the array of their rates, bit-identical to the rates of the
+    rounds one at a time.
     """
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
-    if t <= config.floor_rounds:
-        return 1.0
-    kind = config.schedule_kind
-    if kind == "constant":
+    if not isinstance(t, np.ndarray):
+        if t < 1:
+            raise ValueError(f"round index must be >= 1, got {t}")
+        if t <= config.floor_rounds:
+            return 1.0
+        return min(1.0, _schedule_formula(config, t, math.pow, math.log))
+    if (t < 1).any():
+        raise ValueError(f"round indices must be >= 1, got {t.min()}")
+    rates = np.minimum(1.0, _schedule_formula(config, t, np.float_power, _exact_logs))
+    return np.where(t <= config.floor_rounds, 1.0, rates)
+
+
+def _exact_logs(rounds: np.ndarray) -> np.ndarray:
+    # math.log of every round: np.log differs from it in the last bit on a
+    # few rounds in 100,000, which can flip a coin.
+    logs = np.fromiter(map(math.log, rounds.ravel().tolist()), float, rounds.size)
+    return logs.reshape(rounds.shape)
+
+
+def _schedule_formula(config: ExperimentConfig, t, power, log):
+    # The rate past the floor, before the cap at 1, from one ``power`` and
+    # ``log`` for every kind of ``t``: math's for one round, which numpy's
+    # per-call cost would slow twentyfold, and for arrays np.float_power,
+    # which takes the same pow per element (np.power is off by one ulp on
+    # some rounds), and _exact_logs.
+    if config.schedule_kind == "constant":
         return config.eta_constant
-    log_factor = config.n_agents * math.log(t)
-    if kind == "slow":
-        rate = t ** (-1.0 / 3.0) * log_factor ** ((1.0 + 2.0 * config.epsilon) / 3.0)
-    else:
-        rate = t ** (-0.5) * log_factor ** ((1.0 + config.epsilon) / 2.0)
-    return min(1.0, rate)
+    log_factor = config.n_agents * log(t)
+    if config.schedule_kind == "slow":
+        return power(t, -1.0 / 3.0) * power(log_factor, (1.0 + 2.0 * config.epsilon) / 3.0)
+    return power(t, -0.5) * power(log_factor, (1.0 + config.epsilon) / 2.0)
 
 
 def second_price(estimates: np.ndarray):
@@ -132,8 +158,9 @@ class MechanismState:
     """Mutable cross-round state: value models, stacked coefficients and RNG streams.
 
     The schedule, training policy, training target and price rule are read
-    from ``config``. The coin stream is drawn once per round, by the run's
-    schedule; the agent and price streams once each per exploration round.
+    from ``config``. A run draws one coin per round from the coin stream, by
+    its schedule, and one winner and one price per exploration round from the
+    agent and price streams, all in one batch each before its first round.
     Two runs sharing a master seed therefore stay aligned round for round
     even when their agents report differently. The uniform baseline draws
     every round's winner and price from the same two streams in one batch,
@@ -203,13 +230,17 @@ def _explore(state: MechanismState, size: int | None = None):
 
 
 def run_round(
-    state: MechanismState, contexts: np.ndarray, oracle: RoundOracle, explored: bool
+    state: MechanismState,
+    contexts: np.ndarray,
+    oracle: RoundOracle,
+    draw: tuple[int, float] | None,
 ) -> RoundRecord:
     """Play one auction round, updating ``state`` in place.
 
     ``contexts`` is the (n_agents, dim) block of request features for this
-    round and ``explored`` its coin, drawn by the run's schedule. Returns
-    the round's decisions; ground truth stays with the caller.
+    round. ``draw`` is the round's exploration draw, its ``(winner, price)``
+    from ``_explore``, or ``None`` when the run's schedule has it exploit.
+    Returns the round's decisions; ground truth stays with the caller.
     """
     contexts = np.asarray(contexts, dtype=float)
     n_agents = len(state.models)
@@ -219,8 +250,9 @@ def run_round(
         )
     estimates = state.refresh_estimates(contexts)
     config = state.config
+    explored = draw is not None
     if explored:
-        winner, comparison = _explore(state)
+        winner, comparison = draw
         payment = 0.0
     else:
         winner, price = second_price(estimates)

@@ -5,7 +5,7 @@ from feedauction.baselines import direct_regression_round, oracle_round, uniform
 from feedauction.core import ConfigurationError, derive_stream
 from feedauction.experiment import exploration_schedule, run_metadata, run_single
 from feedauction.config import ExperimentConfig
-from feedauction.mechanism import MechanismState, run_round
+from feedauction.mechanism import MechanismState, _explore, run_round
 from feedauction.metrics import build_series, loglog_tail_slope, welfare_regret
 
 
@@ -17,6 +17,12 @@ def new_state(n_agents, seed, **changes):
 def coins(state, rounds):
     # The explored flags of the first ``rounds`` rounds, from the run's schedule.
     return exploration_schedule(state, rounds)[1]
+
+
+def first_round_draw(state):
+    # Round 1 explores (its rate is floored at 1), so it gets a draw.
+    coin = coins(state, 1)[0]
+    return _explore(state) if coin else None
 
 
 class CountingOracle:
@@ -61,13 +67,14 @@ class TestDirectRegressionRound:
         state = new_state(2, 5)  # feedback: trains on the report
         with pytest.raises(ConfigurationError):
             direct_regression_round(
-                state, np.full((2, 2), 0.5), CountingOracle([0.5, 0.5]), coins(state, 1)[0]
+                state, np.full((2, 2), 0.5), CountingOracle([0.5, 0.5]), first_round_draw(state)
             )
 
     def test_trains_on_realized_utility(self):
         state = new_state(2, 5, mechanism="direct_regression")
         oracle = CountingOracle([0.73, 0.4])
-        record = direct_regression_round(state, np.full((2, 2), 0.5), oracle, coins(state, 1)[0])
+        draw = first_round_draw(state)
+        record = direct_regression_round(state, np.full((2, 2), 0.5), oracle, draw)
         assert record.explored  # t=1 is floored at full exploration
         assert oracle.utility_calls == 1
         model = state.models[record.allocated_agent]
@@ -80,8 +87,8 @@ class TestDirectRegressionRound:
     def test_feedback_state_never_reads_utilities(self):
         state = new_state(2, 5)
         oracle = CountingOracle([0.73, 0.4])
-        for explored in coins(state, 40):
-            run_round(state, np.full((2, 2), 0.5), oracle, explored)
+        for coin in coins(state, 40):
+            run_round(state, np.full((2, 2), 0.5), oracle, _explore(state) if coin else None)
         assert oracle.utility_calls == 0
 
 
@@ -117,7 +124,10 @@ class TestUniformRound:
         oracle = CountingOracle([0.8, 0.5, 0.2])
 
         mech = new_state(3, seed, schedule_kind="constant", eta_constant=1.0)
-        records = [run_round(mech, contexts, oracle, explored) for explored in coins(mech, 200)]
+        records = [
+            run_round(mech, contexts, oracle, _explore(mech) if coin else None)
+            for coin in coins(mech, 200)
+        ]
         uni = new_state(3, seed, mechanism="uniform")
         winners, prices = uniform_round(uni, 200)
         np.testing.assert_array_equal(winners, [r.allocated_agent for r in records])

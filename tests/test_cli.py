@@ -315,6 +315,20 @@ class TestReportCommand:
         assert f"{ledger}: line 1" in err
         assert not report_dir.exists()
 
+    def test_bad_json_names_the_file_line(self, tmp_path, capsys):
+        # A decode error used to be placed inside the line's own text ("line 1
+        # column 2") whatever line of the file held it.
+        ledger = tmp_path / "bad_row.jsonl"
+        meta = {"schema": "feedauction.run.v1", "n_rounds": 2}
+        ledger.write_text(json.dumps(meta) + "\n" + json.dumps({"t": 1}) + "\n{bad\n")
+        report_dir = tmp_path / "report"
+        assert main(["report", str(ledger), "--out", str(report_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [data]")
+        assert f"{ledger}: line 3: bad JSON" in err
+        assert "line 1" not in err
+        assert not report_dir.exists()
+
     @staticmethod
     def report_on_second_row(tmp_path, **row):
         # A two-round ledger whose second row takes ``row``'s values.

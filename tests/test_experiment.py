@@ -273,10 +273,71 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("strategy", ("random:0", "random:0.5", "random:1"))
     def test_random_deviants_answer_in_round_order(self, strategy):
-        for policy in ("exploration_only", "all_allocations"):
+        # The deviant first, in the middle and last, under both policies and
+        # both price rules.
+        for deviant, policy, price in itertools.product(
+            (0, 2, 3), ("exploration_only", "all_allocations"), ("uniform", "fixed:0.4")
+        ):
             self.assert_replays(
-                self.block_config(deviant_strategy=strategy, training_policy=policy)
+                self.block_config(
+                    deviant_index=deviant, deviant_strategy=strategy, training_policy=policy,
+                    price_distribution=price,
+                )
             )
+
+    def test_a_random_deviant_among_one_round_stretches(self):
+        # Nine rounds in ten explore, and the rounds the deviant does not win
+        # leave up to _BLOCK_ROUNDS - 1 frozen rounds, most of them one-round
+        # stretches with a version each, pending.
+        config = self.block_config(
+            horizon=8 * self.BLOCK, schedule_kind="constant", eta_constant=0.9,
+            deviant_strategy="random:0.5",
+        )
+        run = self.assert_replays(config)
+        frozen = np.flatnonzero(~run.explored)
+        assert (run.allocated[frozen] == config.deviant_index).any()
+
+    def test_a_random_deviant_waits_out_a_full_block(self):
+        # Over _BLOCK_ROUNDS frozen rounds, some of them won by the deviant,
+        # build up between two training rounds that the deviant wins, so the
+        # settle at _BLOCK_ROUNDS pending rounds fires before another agent's
+        # training round.
+        config = self.block_config(
+            horizon=4 * self.BLOCK, schedule_kind="constant", eta_constant=0.02,
+            deviant_strategy="random:0.5",
+        )
+        run = self.assert_replays(config)
+        deviant, explored = config.deviant_index, run.explored
+        training = np.flatnonzero(explored)
+        won = training[run.allocated[training] == deviant]
+        waits = []
+        for first, last in zip(won, won[1:]):
+            frozen = np.flatnonzero(~explored[first + 1:last]) + first + 1
+            if frozen.size >= self.BLOCK and (run.allocated[frozen] == deviant).any():
+                after_block = (training > frozen[self.BLOCK - 1]) & (training < last)
+                waits.append(after_block.any())
+        assert any(waits)
+
+    def test_a_random_deviant_settles_only_where_it_is_asked(self, monkeypatch):
+        # At W1's size the frozen rounds are settled before the training
+        # rounds the deviant wins, once _BLOCK_ROUNDS of them are pending and
+        # at the end: not before every training round.
+        calls = []
+        stretch = experiment.exploit_stretch
+
+        def counted(*args):
+            calls.append(1)
+            return stretch(*args)
+
+        monkeypatch.setattr(experiment, "exploit_stretch", counted)
+        config = ExperimentConfig(
+            horizon=20_000, n_agents=10, dim=5, schedule_kind="slow", master_seed=0,
+            deviant_index=0, deviant_strategy="random:0.5",
+        )
+        run = run_single(config, 0, keep_records=False)
+        wins = int((run.explored & (run.allocated == config.deviant_index)).sum())
+        frozen = int((~run.explored).sum())
+        assert len(calls) <= wins + -(-frozen // self.BLOCK) + 1
 
     def test_many_one_round_stretches_nearly_fill_the_versions(self):
         # Nine rounds in ten explore, so most stretches are one round long:
@@ -334,9 +395,9 @@ class TestBatchedEngine:
         run = self.assert_replays(config, prepare_dataset(corpus_30, 30))
         assert run.contexts.shape[2] == 30
 
-    def test_the_schedule_is_computed_once_per_round(self, monkeypatch):
-        # A learned run evaluates exploration_rate once per round, in
-        # run_single; the rounds themselves only receive their coin.
+    def test_the_schedule_is_computed_once_per_run(self, monkeypatch):
+        # A learned run evaluates exploration_rate once, over all of its
+        # rounds, in run_single; the rounds themselves only receive their draw.
         seen = []
 
         def counted(owner):
@@ -352,7 +413,7 @@ class TestBatchedEngine:
             monkeypatch.setattr(owner, "exploration_rate", counted(owner))
         for policy in ("exploration_only", "all_allocations"):
             run_single(small_config(training_policy=policy), 0, keep_records=False)
-        assert seen == ["feedauction.experiment"] * 800
+        assert seen == ["feedauction.experiment"] * 2
 
     def test_state_has_no_round_counter(self):
         assert "t" not in {field.name for field in dataclasses.fields(MechanismState)}

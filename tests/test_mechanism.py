@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from feedauction.experiment import exploration_schedule
 from feedauction.learner import ValueModel
 from feedauction.mechanism import (
     MechanismState,
+    _explore,
     exploit_stretch,
     exploration_rate,
     run_round,
@@ -80,7 +84,9 @@ def second_round_coin(state):
 
 def play_second_round(state, contexts):
     # Round 2 of a pinned state, every report a yes.
-    return run_round(state, contexts, ScriptedOracle(lambda a, c: True), second_round_coin(state))
+    coin = second_round_coin(state)
+    oracle = ScriptedOracle(lambda a, c: True)
+    return run_round(state, contexts, oracle, _explore(state) if coin else None)
 
 
 def flat_contexts(n_agents):
@@ -137,6 +143,40 @@ class TestExplorationRate:
         assert exploration_rate(spec, 1000) == pytest.approx(
             0.2921809489772023, rel=1e-12
         )
+
+    @staticmethod
+    def scalar_rate(kind, n_agents, epsilon, floor_rounds, eta_constant, t):
+        # The schedule written out in Python floats, apart from the library.
+        if t <= floor_rounds:
+            return 1.0
+        if kind == "constant":
+            return eta_constant
+        if kind == "slow":
+            rate = t ** (-1 / 3) * (n_agents * math.log(t)) ** ((1 + 2 * epsilon) / 3)
+        else:
+            rate = t ** (-1 / 2) * (n_agents * math.log(t)) ** ((1 + epsilon) / 2)
+        return min(1.0, rate)
+
+    @pytest.mark.parametrize("kind", ("slow", "fast", "constant"))
+    @pytest.mark.parametrize("floor_rounds", (1, 7))
+    def test_rounds_in_one_array_match_the_scalar_formula(self, kind, floor_rounds):
+        rounds = np.arange(1, 20_001)
+        for n_agents, epsilon in itertools.product((2, 10), (0.05, 0.5)):
+            spec = schedule(
+                kind, n_agents, epsilon=epsilon, floor_rounds=floor_rounds, eta_constant=0.3
+            )
+            rates = exploration_rate(spec, rounds)
+            expected = [
+                self.scalar_rate(kind, n_agents, epsilon, floor_rounds, 0.3, t)
+                for t in rounds.tolist()
+            ]
+            assert rates.dtype == np.float64 and rates.shape == rounds.shape
+            assert rates.tolist() == expected, (n_agents, epsilon)
+            assert exploration_rate(spec, 12_345) == expected[12_344]
+
+    def test_an_array_with_a_round_below_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            exploration_rate(schedule("slow", 2), np.array([3, 2, 0, 4]))
 
     def test_rate_capped_at_one_for_crowded_populations(self):
         spec = schedule("slow", 100)
@@ -276,7 +316,8 @@ class TestRunRound:
         state = pinned_state(2, [0.9, 0.5])
         explored = second_round_coin(state)
         coin = state.coin_stream.gen.bit_generator.state
-        record = run_round(state, flat_contexts(2), ScriptedOracle(lambda a, c: True), explored)
+        draw = _explore(state) if explored else None
+        record = run_round(state, flat_contexts(2), ScriptedOracle(lambda a, c: True), draw)
         assert not record.explored
         assert record.allocated_agent == 0
         assert record.payment == 0.5
@@ -304,7 +345,8 @@ class TestRunRound:
     def test_first_round_explores_for_free(self):
         state = new_state(3, 2, 123)
         oracle = ScriptedOracle(lambda a, c: c < 0.5)
-        record = run_round(state, flat_contexts(3), oracle, coins(state, 1)[0])
+        coin = coins(state, 1)[0]
+        record = run_round(state, flat_contexts(3), oracle, _explore(state) if coin else None)
         assert record.explored
         assert record.payment == 0.0
         assert 0.0 <= record.comparison_price < 1.0
@@ -328,8 +370,9 @@ class TestRunRound:
         contexts = flat_contexts(3)
         oracle = ScriptedOracle(lambda a, c: c < 0.5)
         counts = np.zeros(3)
-        for explored in coins(state, rounds):
-            counts[run_round(state, contexts, oracle, explored).allocated_agent] += 1
+        for coin in coins(state, rounds):
+            draw = _explore(state) if coin else None
+            counts[run_round(state, contexts, oracle, draw).allocated_agent] += 1
         assert np.all(np.abs(counts / rounds - 1.0 / 3.0) < 0.02)
 
     def test_exploration_fraction_tracks_constant_rate(self):
@@ -343,7 +386,8 @@ class TestRunRound:
         for seed in range(seeds):
             state = MechanismState.create(config, 2, seed)
             for coin in coins(state, horizon):
-                explored += run_round(state, contexts, oracle, coin).explored
+                draw = _explore(state) if coin else None
+                explored += run_round(state, contexts, oracle, draw).explored
         total = seeds * horizon
         expected = (3 * 1.0 + (horizon - 3) * rate) / horizon
         stderr = np.sqrt(expected * (1 - expected) / total)
@@ -353,9 +397,9 @@ class TestRunRound:
         state = new_state(3, 3, 31, "constant", eta_constant=0.5)
         rng = np.random.Generator(np.random.PCG64(9))
         oracle = ScriptedOracle(lambda a, c: c < 0.4)
-        for explored in coins(state, 600):
+        for coin in coins(state, 600):
             contexts = rng.dirichlet(np.ones(3), size=3)
-            record = run_round(state, contexts, oracle, explored)
+            record = run_round(state, contexts, oracle, _explore(state) if coin else None)
             if record.explored:
                 assert record.payment == 0.0
             else:
@@ -374,9 +418,9 @@ class TestRunRound:
             )
             rng = np.random.Generator(np.random.PCG64(4))
             rows = []
-            for explored in coins(state, 400):
+            for coin in coins(state, 400):
                 contexts = rng.dirichlet(np.ones(3), size=3)
-                record = run_round(state, contexts, oracle, explored)
+                record = run_round(state, contexts, oracle, _explore(state) if coin else None)
                 rows.append(
                     (record.allocated_agent, record.explored, record.payment, record.report)
                 )
@@ -392,8 +436,9 @@ class TestRunRound:
             state = new_state(3, 2, 99)
             oracle = ScriptedOracle(lambda a, c: answer)
             rows = []
-            for explored in coins(state, 300):
-                record = run_round(state, flat_contexts(3), oracle, explored)
+            for coin in coins(state, 300):
+                draw = _explore(state) if coin else None
+                record = run_round(state, flat_contexts(3), oracle, draw)
                 rows.append((record.explored, record.allocated_agent, record.comparison_price))
             return rows
 

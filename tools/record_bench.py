@@ -18,6 +18,14 @@ times are scaled to the reference job's nominal speed; each untraced run
 also keeps the unscaled ``raw`` times that ``perfbench/run.py`` saves under
 ``perfbench/results/``, and ``median_raw`` their medians. Compare only
 checkouts recorded together on one machine. Standard library only.
+
+The file also holds the rule by which a gain is claimed. Each workload keeps
+the first checkout's quartiles of every end-to-end metric, and for each later
+checkout and metric a ``claim`` entry: the pairs that checkout won (round
+``i`` against the first checkout's round ``i``, in the ``better`` direction
+that ``BENCHMARK.json`` gives the metric), the median gap in that direction,
+the first checkout's interquartile range, and whether the gain holds: won in
+at least nine pairs of ten, with a gap larger than that range.
 """
 
 from __future__ import annotations
@@ -35,6 +43,38 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep-deviation", "moderation", "ledger")
 END_TO_END = ("setup_s", "wall_s", "rounds_per_s", "peak_rss_mb")
 RAW = ("setup_s", "wall_s", "rounds_per_s")
+# A gain is claimed only when won in this share of pairs, or more.
+CLAIM_SHARE = 0.9
+
+
+def better_directions() -> dict[str, str]:
+    """Each end-to-end metric's ``better`` direction, "higher" or "lower", from BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    """First quartile, median and third quartile, linearly interpolated, and their range."""
+    if len(values) < 2:  # statistics.quantiles needs two values
+        values = values * 2
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3, "iqr": q3 - q1}
+
+
+def claim(first: list[float], later: list[float], better: str) -> dict:
+    """How ``later`` fares against ``first``, pair by pair and median to median."""
+    sign = 1.0 if better == "higher" else -1.0
+    won = sum(sign * (b - a) > 0 for a, b in zip(first, later))
+    gap = sign * (statistics.median(later) - statistics.median(first))
+    iqr = quartiles(first)["iqr"]
+    return {
+        "better": better,
+        "pairs_won": won,
+        "pairs": len(first),
+        "median_gap": gap,
+        "first_iqr": iqr,
+        "gain_holds": won >= CLAIM_SHARE * len(first) and gap > iqr,
+    }
 
 
 def src_digest(checkout: Path) -> str:
@@ -104,9 +144,19 @@ def record_workload(checkouts: dict[str, Path], workload: str, args) -> dict:
         name: {k: medians[name][k] / first[k] if first[k] else None for k in END_TO_END}
         for name in names[1:]
     }
+
+    def values(name, k):
+        return [r["metrics"][k] for r in runs[name]]
+
+    better = better_directions()
     return {
         "untraced": runs, "traced": traced, "median": medians, "median_raw": medians_raw,
         f"ratio_to_{names[0]}": ratios,
+        f"quartiles_{names[0]}": {k: quartiles(values(names[0], k)) for k in END_TO_END},
+        "claim": {
+            name: {k: claim(values(names[0], k), values(name, k), better[k]) for k in END_TO_END}
+            for name in names[1:]
+        },
     }
 
 
