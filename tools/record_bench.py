@@ -43,8 +43,6 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep-deviation", "moderation", "ledger")
 END_TO_END = ("setup_s", "wall_s", "rounds_per_s", "peak_rss_mb")
 RAW = ("setup_s", "wall_s", "rounds_per_s")
-# A gain is claimed only when won in this share of pairs, or more.
-CLAIM_SHARE = 0.9
 
 
 def better_directions() -> dict[str, str]:
@@ -73,7 +71,7 @@ def claim(first: list[float], later: list[float], better: str) -> dict:
         "pairs": len(first),
         "median_gap": gap,
         "first_iqr": iqr,
-        "gain_holds": won >= CLAIM_SHARE * len(first) and gap > iqr,
+        "gain_holds": 10 * won >= 9 * len(first) and gap > iqr,  # nine pairs in ten
     }
 
 
