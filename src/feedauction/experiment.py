@@ -4,8 +4,10 @@ Determinism contract: a run is a pure function of (config, seed index, data
 file). Every random ingredient comes from a named substream of the per-seed
 master, and streams are consumed in a fixed order, so two runs that share a
 seed but differ only in one agent's reporting strategy see identical agents,
-contexts, and realized utilities. That common-random-number alignment is
-what makes paired deviation measurements low-variance.
+contexts, and realized utilities. That common-random-number alignment makes
+paired deviation measurements low-variance, and lets a deviant arm reuse its
+truthful twin's columns, kept in a one-entry cache. The cache never changes
+a result: a run is still a pure function of (config, seed index, corpus).
 
 The driver is also the only component that touches ground truth. Mechanisms
 see agents through the report oracle alone; realized utilities and oracle
@@ -24,7 +26,11 @@ from .baselines import direct_regression_round, oracle_round, uniform_round
 from .config import ExperimentConfig
 from .core import CODE_VERSION, RngStream, derive_seed, derive_stream
 from .dataio import CATEGORIES, FeatureScaler, LabeledExample, pca_fit, pca_transform
-from .mechanism import MechanismState, _explore, exploit_stretch, exploration_rate, run_round
+from .learner import ValueModel
+from .mechanism import (
+    MechanismState, _clamped_scores, _explore, exploit_stretch, exploration_rate, run_round,
+    second_price,
+)
 from .metrics import oracle_prices
 
 __all__ = [
@@ -75,6 +81,11 @@ _TRUTHFUL = Strategy()
 # the peak RSS of a d = 30 run by about 3%, 256 did not measurably.
 _BLOCK_ROUNDS = 256
 
+# The last truthful exploration_only learned run, for its deviant arms without records: copies
+# of its _SHARED columns, draws, models and contexts, which the first arm narrows to its "agent".
+_TWIN: dict[str, Any] = {}
+_SHARED = ("true_means", "utilities", "oracle_second_prices", "estimates", "explored", "eta")
+
 
 class _PopulationOracle:
     """Answers comparison queries on behalf of the agents.
@@ -85,14 +96,11 @@ class _PopulationOracle:
     per-round mechanism call, and asks the winners of the frozen rounds
     with ``compare_stretch``, in batches that may span several stretches.
     Only the ``random`` reporting strategy consumes stream randomness, so
-    truthful populations keep the deviant's report stream untouched. A
-    ``random`` deviant (``answers_in_order``) must be asked in round order,
-    so ``run_single`` settles the pending frozen rounds before each training
-    round that may ask it: one whose drawn winner is the deviant, or one
-    that exploits and trains.
+    truthful populations keep the deviant's report stream untouched. The engine
+    asks a deviant only under ``all_allocations``, every round in order.
     """
 
-    __slots__ = ("deviant", "strategy", "report_stream", "utilities_now", "answers_in_order")
+    __slots__ = ("deviant", "strategy", "report_stream", "utilities_now")
 
     def __init__(
         self, deviant: int | None, strategy: Strategy, report_stream: RngStream | None
@@ -101,7 +109,6 @@ class _PopulationOracle:
         self.strategy = strategy
         self.report_stream = report_stream
         self.utilities_now: np.ndarray | None = None
-        self.answers_in_order = deviant is not None and strategy.kind == "random"
 
     def compare(self, agent: int, price: float) -> bool:
         utility = float(self.utilities_now[agent])
@@ -238,6 +245,16 @@ def run_single(
     config.validate()
     run_seed = derive_seed(config.master_seed, f"run/{seed_index}")
     horizon, n_agents = config.horizon, config.n_agents
+    learned = config.mechanism in ("feedback", "direct_regression")
+    exploration_only = config.training_policy == "exploration_only"
+    deviant = config.deviant_index
+    if learned and exploration_only and deviant is not None:
+        twin_config = config.replace(deviant_index=None, deviant_strategy="truthful")
+        key = (twin_config, seed_index, id(prepared))  # the cache holds prepared: ids stay unique
+        if keep_records or _TWIN.get("key") != key or _TWIN.get("agent") not in (None, deviant):
+            run_single(twin_config, seed_index, prepared, keep_records=False)
+        return _deviant_arm(config, seed_index, run_seed, keep_records)
+    _TWIN.clear()  # before the world is built, so that two worlds are never kept
 
     if config.data_source == "csv":
         if prepared is None:
@@ -249,7 +266,6 @@ def run_single(
         contexts, true_means, utilities = _synthetic_world(config, run_seed)
         scaler_meta = None
 
-    deviant = config.deviant_index
     oracle = _PopulationOracle(
         deviant,
         Strategy.parse(config.deviant_strategy),
@@ -260,7 +276,7 @@ def run_single(
     final_models: list[dict[str, Any]] | None = None
 
     state = MechanismState.create(config, contexts.shape[2], run_seed)
-    if config.mechanism in ("feedback", "direct_regression"):
+    if learned:
         learned_round = run_round if config.mechanism == "feedback" else direct_regression_round
         allocated = np.empty(horizon, dtype=int)
         payments = np.empty(horizon)
@@ -274,7 +290,7 @@ def run_single(
         allocated[explored], comparison_prices[explored] = drawn_winners, drawn_prices
         payments[explored] = 0.0
         draws = iter(zip(drawn_winners.tolist(), drawn_prices.tolist()))
-        trains = explored if config.training_policy == "exploration_only" else np.ones(horizon, bool)
+        trains = explored if exploration_only else np.ones(horizon, bool)
         # A stretch, a maximal run of frozen rounds, reads the models kept
         # after the training round before it (round 1 always explores, as
         # floor_rounds >= 1 makes its rate 1). Stretch k keeps its version in
@@ -313,11 +329,7 @@ def run_single(
         # Training round i is round ti, so ti - i frozen rounds come before it.
         for i, (ti, next_ti) in enumerate(zip(training, training[1:] + [horizon])):
             draw = next(draws) if explored[ti] else None
-            # A population that answers from its report stream is asked in
-            # round order, so the frozen rounds before a training round that
-            # may ask the deviant are settled first.
-            asks_in_order = oracle.answers_in_order and (draw is None or draw[0] == deviant)
-            if ti - i - settled >= (1 if asks_in_order else _BLOCK_ROUNDS):
+            if ti - i - settled >= _BLOCK_ROUNDS:
                 settle(ti - i)
             oracle.utilities_now = utilities[ti]
             record = learned_round(state, contexts[ti], oracle, draw)
@@ -331,10 +343,8 @@ def run_single(
                 versions_ready[kept % _BLOCK_ROUNDS] = state.ready
                 kept += 1
         settle(frozen.size)
-        final_models = [
-            {"sample_count": m.sample_count, "coefficients": m.coefficients.tolist()}
-            for m in state.models
-        ]
+        del versions, row_coefs, row_contexts  # freed before a twin's columns are copied
+        final_models = _model_records(state.models)
     else:
         uniform = config.mechanism == "uniform"
         eta = np.ones(horizon) if uniform else np.zeros(horizon)
@@ -348,7 +358,7 @@ def run_single(
             comparison_prices, payments = prices.copy(), prices.copy()
         reports = oracle.compare_stretch(utilities, allocated, comparison_prices)
 
-    return RunResult(
+    result = RunResult(
         config=config,
         seed_index=seed_index,
         run_seed=run_seed,
@@ -366,6 +376,73 @@ def run_single(
         eta=eta,
         scaler_meta=scaler_meta,
         final_models=final_models,
+    )
+    if learned and exploration_only and deviant is None:  # a twin of later deviant arms
+        _TWIN.update(
+            key=(config, seed_index, id(prepared)), prepared=prepared, models=state.models,
+            contexts=contexts.copy() if keep_records else contexts, winners=drawn_winners,
+            prices=drawn_prices, **{name: getattr(result, name).copy() for name in _SHARED},
+        )
+    return result
+
+
+def _model_records(models: list[ValueModel]) -> list[dict[str, Any]]:
+    return [dict(sample_count=m.sample_count, coefficients=m.coefficients.tolist()) for m in models]
+
+
+def _deviant_arm(
+    config: ExperimentConfig, seed_index: int, run_seed: int, keep_records: bool
+) -> RunResult:
+    """A deviant ``exploration_only`` arm: its truthful twin with the deviant's model replayed.
+
+    Only the deviant's model differs from the twin's; round t reads the model left by the
+    deviant's last explored win (event) before t. A ``random`` deviant gives its k-th query
+    the k-th answer of its stream, so its exploitation wins between two events are counted.
+    """
+    twin, deviant, strategy = _TWIN, config.deviant_index, Strategy.parse(config.deviant_strategy)
+    models = twin["models"]
+    arm = {name: twin[name].copy() for name in _SHARED}
+    estimates, utilities, explored = arm["estimates"], arm["utilities"], arm["explored"]
+    world, won = twin["contexts"], twin["winners"] == deviant
+    own = world if twin.get("agent") == deviant else world[:, deviant].copy()
+    twin["contexts"], twin["agent"] = own, deviant
+    events, horizon = np.flatnonzero(explored)[won], explored.size
+    column = estimates[:, deviant]  # a view: the replay writes the arm's estimates
+    counts_wins = config.mechanism == "feedback" and strategy.kind == "random"
+    stream = derive_stream(run_seed, f"agents/report/{deviant}")
+    if config.mechanism == "direct_regression":
+        targets = utilities[events, deviant]
+    elif counts_wins:  # answers in query order; a random answer reads neither argument
+        targets = report(strategy, utilities[:, deviant], utilities[:, deviant], stream)
+    else:
+        targets = report(strategy, utilities[events, deviant], twin["prices"][won])
+    model, coefficients, start, asked = ValueModel(own.shape[1]), None, 0, 0
+    column[:] = ValueModel.prior_estimate  # until the model is ready
+    for stop in (events + 1).tolist() + [horizon]:
+        if coefficients is not None:
+            column[start:stop] = _clamped_scores(coefficients, own[start:stop])
+        if stop == horizon:
+            break
+        if counts_wins:  # its exploitation wins since its last event, by second_price's argmax
+            rows = slice(start, stop - 1)
+            asked += np.count_nonzero(~explored[rows] & (estimates[rows].argmax(axis=1) == deviant))
+        model.ingest(own[stop - 1], targets[asked])
+        asked += 1
+        if model.sample_count >= model.min_samples:
+            coefficients = model.fit()
+        start = stop
+    allocated, comparison_prices = np.empty(horizon, dtype=int), np.empty(horizon)
+    allocated[explored], comparison_prices[explored] = twin["winners"], twin["prices"]
+    allocated[~explored], comparison_prices[~explored] = second_price(estimates[~explored])
+    # A fresh stream: the reports read the answers the replay read.
+    oracle = _PopulationOracle(deviant, strategy, derive_stream(run_seed, stream.name))
+    return RunResult(
+        config=config, seed_index=seed_index, run_seed=run_seed, allocated=allocated,
+        contexts=world.copy() if keep_records else None, comparison_prices=comparison_prices,
+        payments=np.where(explored, 0.0, comparison_prices), **arm,
+        reports=oracle.compare_stretch(utilities, allocated, comparison_prices),
+        scaler_meta=dict(twin["prepared"].meta) if config.data_source == "csv" else None,
+        final_models=_model_records(models[:deviant] + [model] + models[deviant + 1:]),
     )
 
 

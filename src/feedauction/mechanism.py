@@ -286,13 +286,16 @@ def exploit_stretch(
     else the linear score clamped to [0, 1]. Returns the (rounds, n_agents)
     estimates and each round's winner and second price.
     """
+    estimates = np.where(ready, _clamped_scores(coefficients, contexts), ValueModel.prior_estimate)
+    winners, prices = second_price(estimates)
+    return estimates, winners, prices
+
+
+def _clamped_scores(coefficients: np.ndarray, contexts: np.ndarray) -> np.ndarray:
     # Stacked (1, dim) @ (dim, 1) products take the same dot product as
     # predict's ``coef.dot(context)``, bit for bit; ``contexts @ coef`` and
     # einsum sum in another order and differ in the last bit on many rows.
-    scores = np.matmul(contexts[:, :, None, :], coefficients[..., None])[..., 0, 0]
+    scores = np.matmul(contexts[..., None, :], coefficients[..., None])[..., 0, 0]
     # predict's min(1.0, max(0.0, score)) maps -0.0 to 0.0, which
     # np.maximum(0.0, score) does not.
-    clamped = np.where(scores > 0.0, np.minimum(scores, 1.0), 0.0)
-    estimates = np.where(ready, clamped, ValueModel.prior_estimate)
-    winners, prices = second_price(estimates)
-    return estimates, winners, prices
+    return np.where(scores > 0.0, np.minimum(scores, 1.0), 0.0)

@@ -92,16 +92,21 @@ def deviation_results(slow_truthful):
     """Per-strategy paired profits against the shared truthful runs."""
     start = time.perf_counter()
     truthful = slow_truthful["runs"]
-    per_strategy = {}
-    for strategy in DEVIATIONS:
-        config = _slow_config(deviant_index=DEVIANT_AGENT, deviant_strategy=strategy)
-        profits, quartiles = [], []
-        for i in range(N_SEEDS):
+    profits = {strategy: [] for strategy in DEVIATIONS}
+    quartiles = {strategy: [] for strategy in DEVIATIONS}
+    # Seeds outer, strategies inner: a seed's six deviant arms share one
+    # truthful twin, which run_single keeps between calls.
+    for i in range(N_SEEDS):
+        for strategy in DEVIATIONS:
+            config = _slow_config(deviant_index=DEVIANT_AGENT, deviant_strategy=strategy)
             deviant = run_single(config, i, keep_records=False)
             profile = per_round_profit(truthful[i], deviant, DEVIANT_AGENT)
-            profits.append(float(profile.sum()))
-            quartiles.append(float(profile[3 * profile.size // 4 :].mean()))
-        per_strategy[strategy] = (np.array(profits), np.array(quartiles))
+            profits[strategy].append(float(profile.sum()))
+            quartiles[strategy].append(float(profile[3 * profile.size // 4 :].mean()))
+    per_strategy = {
+        strategy: (np.array(profits[strategy]), np.array(quartiles[strategy]))
+        for strategy in DEVIATIONS
+    }
     # Seed-mean cumulative worst-case estimation error of the truthful arm,
     # the scale that bounds what any single misreporter can gain.
     error_sum = float(

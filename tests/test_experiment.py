@@ -15,9 +15,22 @@ from feedauction.experiment import (
     run_metadata,
     run_single,
 )
+from feedauction.learner import ValueModel
 from feedauction.mechanism import MechanismState
 from feedauction.metrics import estimation_error_trace
 from helpers import per_round_baseline_reference, per_round_reference
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test; returns the list it appends one entry per call to."""
+    calls, wrapped = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return wrapped(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def small_config(**overrides):
@@ -161,7 +174,11 @@ def prepared(corpus):
 
 
 class TestBatchedEngine:
-    """The engine that settles frozen rounds in batches replays the per-round loop."""
+    """The engine that settles frozen rounds in batches replays the per-round loop.
+
+    So does a deviant ``exploration_only`` arm, built from its truthful twin
+    and a replay of the deviant's model.
+    """
 
     STRATEGIES = ("truthful", "always_high", "inverted", "random:0.5", "threshold_shift:-0.2")
 
@@ -286,9 +303,9 @@ class TestBatchedEngine:
             )
 
     def test_a_random_deviant_among_one_round_stretches(self):
-        # Nine rounds in ten explore, and the rounds the deviant does not win
-        # leave up to _BLOCK_ROUNDS - 1 frozen rounds, most of them one-round
-        # stretches with a version each, pending.
+        # Nine rounds in ten explore, so the replay counts the deviant's
+        # exploitation wins over many gaps of one frozen round between its
+        # events.
         config = self.block_config(
             horizon=8 * self.BLOCK, schedule_kind="constant", eta_constant=0.9,
             deviant_strategy="random:0.5",
@@ -299,9 +316,9 @@ class TestBatchedEngine:
 
     def test_a_random_deviant_waits_out_a_full_block(self):
         # Over _BLOCK_ROUNDS frozen rounds, some of them won by the deviant,
-        # build up between two training rounds that the deviant wins, so the
-        # settle at _BLOCK_ROUNDS pending rounds fires before another agent's
-        # training round.
+        # lie between two training rounds that the deviant wins: the twin
+        # settles them in more than one block, and the replay counts the
+        # deviant's wins among them in one step.
         config = self.block_config(
             horizon=4 * self.BLOCK, schedule_kind="constant", eta_constant=0.02,
             deviant_strategy="random:0.5",
@@ -318,26 +335,19 @@ class TestBatchedEngine:
                 waits.append(after_block.any())
         assert any(waits)
 
-    def test_a_random_deviant_settles_only_where_it_is_asked(self, monkeypatch):
-        # At W1's size the frozen rounds are settled before the training
-        # rounds the deviant wins, once _BLOCK_ROUNDS of them are pending and
-        # at the end: not before every training round.
-        calls = []
-        stretch = experiment.exploit_stretch
-
-        def counted(*args):
-            calls.append(1)
-            return stretch(*args)
-
-        monkeypatch.setattr(experiment, "exploit_stretch", counted)
+    def test_a_deviant_arm_trains_only_the_deviant(self, monkeypatch):
+        # At W1's size, right after its twin, a random:0.5 arm plays no round
+        # through run_round and feeds the deviant's model its explored wins.
         config = ExperimentConfig(
             horizon=20_000, n_agents=10, dim=5, schedule_kind="slow", master_seed=0,
             deviant_index=0, deviant_strategy="random:0.5",
         )
+        run_single(config.replace(deviant_index=None, deviant_strategy="truthful"), 0)
+        rounds = count_calls(monkeypatch, experiment, "run_round")
+        ingested = count_calls(monkeypatch, ValueModel, "ingest")
         run = run_single(config, 0, keep_records=False)
-        wins = int((run.explored & (run.allocated == config.deviant_index)).sum())
-        frozen = int((~run.explored).sum())
-        assert len(calls) <= wins + -(-frozen // self.BLOCK) + 1
+        assert rounds == []
+        assert len(ingested) == (run.explored & (run.allocated == 0)).sum() > 0
 
     def test_many_one_round_stretches_nearly_fill_the_versions(self):
         # Nine rounds in ten explore, so most stretches are one round long:
@@ -386,6 +396,35 @@ class TestBatchedEngine:
             )
             self.assert_replays(config)
 
+    @pytest.mark.parametrize("strategy", ("inverted", "random:0.5"))
+    def test_all_allocations_deviants_play_every_round(self, strategy, monkeypatch):
+        # The engine, not the twin replay, plays a deviant whose exploitation
+        # rounds train, one run_round per round.
+        config = self.block_config(training_policy="all_allocations", deviant_strategy=strategy)
+        rounds = count_calls(monkeypatch, experiment, "run_round")
+        run_single(config.replace(deviant_index=None, deviant_strategy="truthful"), 0)
+        rounds.clear()
+        self.assert_replays(config)
+        assert len(rounds) == config.horizon
+
+    @pytest.mark.parametrize(
+        "mechanism_name, price", itertools.product(
+            ("feedback", "direct_regression"), ("uniform", "fixed:0.4")
+        ),
+    )
+    def test_deviant_arms_at_either_end_replay(self, mechanism_name, price):
+        # The first and the last agent deviate, so the replay's win count
+        # compares the deviant with agents on one side only.
+        for deviant, strategy in itertools.product(
+            (0, 3), ("always_low", "threshold_shift:0.2", "random:0", "random:1")
+        ):
+            self.assert_replays(
+                self.block_config(
+                    mechanism=mechanism_name, price_distribution=price,
+                    deviant_index=deviant, deviant_strategy=strategy,
+                )
+            )
+
     def test_a_csv_world_at_dimension_30(self):
         corpus_30 = generate_synthetic_dataset(300, 32, 3)
         config = self.block_config(
@@ -417,6 +456,102 @@ class TestBatchedEngine:
 
     def test_state_has_no_round_counter(self):
         assert "t" not in {field.name for field in dataclasses.fields(MechanismState)}
+
+
+class TestTwinCache:
+    """A deviant arm reads its truthful twin from a one-entry cache that never changes a result.
+
+    Arms without records hit it; an arm that keeps records plays its twin afresh.
+    """
+
+    COLUMNS = (
+        "contexts", "true_means", "utilities", "oracle_second_prices", "estimates", "allocated",
+        "payments", "comparison_prices", "explored", "reports", "eta",
+    )
+
+    @classmethod
+    def assert_same_run(cls, found, expected):
+        for column in cls.COLUMNS:
+            a, b = getattr(found, column), getattr(expected, column)
+            if column == "contexts" and (a is None or b is None):
+                continue
+            assert a.dtype == b.dtype, column
+            assert np.array_equal(a, b), column
+        assert found.final_models == expected.final_models
+        assert found.scaler_meta == expected.scaler_meta
+
+    @staticmethod
+    def twin(config):
+        return config.replace(deviant_index=None, deviant_strategy="truthful")
+
+    @pytest.mark.parametrize("strategy", ("inverted", "random:0.5"))
+    def test_a_cold_cache_gives_the_run_made_after_the_twin(self, strategy, monkeypatch):
+        config = small_config(deviant_index=3, deviant_strategy=strategy)
+        run_single(small_config(mechanism="uniform"), 0)  # clears the cache
+        cold = run_single(config, 1, keep_records=False)
+        with_records = run_single(config, 1)
+        run_single(self.twin(config), 1)
+        rounds = count_calls(monkeypatch, experiment, "run_round")
+        self.assert_same_run(run_single(config, 1, keep_records=False), cold)
+        assert rounds == []
+        self.assert_same_run(with_records, cold)
+        world = run_single(self.twin(config), 1).contexts
+        np.testing.assert_array_equal(with_records.contexts, world)
+
+    def test_mutating_a_returned_run_leaves_later_arms_unchanged(self):
+        config = small_config(deviant_index=0, deviant_strategy="always_high")
+        run_single(small_config(mechanism="oracle"), 0)
+        expected = run_single(config, 0)
+        truthful = run_single(self.twin(config), 0)
+        for column in self.COLUMNS:
+            array = getattr(truthful, column)
+            if array.dtype == bool:
+                np.logical_not(array, out=array)
+            else:
+                array += 1
+        truthful.final_models[0]["coefficients"][0] = 9.0
+        first = run_single(config, 0, keep_records=False)
+        self.assert_same_run(first, expected)
+        for column in self.COLUMNS[1:]:
+            getattr(first, column)[...] = 0
+        self.assert_same_run(run_single(config, 0, keep_records=False), expected)
+
+    @pytest.mark.parametrize(
+        "change",
+        (
+            "seed_index", "prepared", "price_distribution", "uniform run between",
+            "another deviant agent", "records",
+        ),
+    )
+    def test_a_call_that_is_not_a_hit_plays_the_twin_again(self, change, monkeypatch, corpus):
+        config = small_config(
+            deviant_index=1, deviant_strategy="threshold_shift:0.2",
+            data_source="csv", data_path="corpus.csv", pca_components=4,
+        )
+        prepared = prepare_dataset(corpus, 4)
+        seed_index, keep_records = 0, False
+        run_single(self.twin(config), 0, prepared)
+        run_single(config, 0, prepared, keep_records=False)  # narrows the cache to agent 1
+        if change == "seed_index":
+            seed_index = 1
+        elif change == "prepared":
+            prepared = prepare_dataset(corpus, 4)
+        elif change == "price_distribution":
+            config = config.replace(price_distribution="fixed:0.4")
+        elif change == "uniform run between":
+            run_single(config.replace(mechanism="uniform"), 0, prepared)
+        elif change == "another deviant agent":
+            config = config.replace(deviant_index=2)
+        else:
+            keep_records = True
+        rounds = count_calls(monkeypatch, experiment, "run_round")
+        found = run_single(config, seed_index, prepared, keep_records=keep_records)
+        assert len(rounds) > 0
+        rounds.clear()
+        again = run_single(config, seed_index, prepared, keep_records=False)
+        assert rounds == []
+        self.assert_same_run(again, found)
+        assert found.scaler_meta["pca_components"] == 4
 
 
 class TestBatchedBaselines:
