@@ -363,7 +363,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ConfigurationError) as exc:
+    except ConfigurationError as exc:
         print(f"error [config] {exc}", file=sys.stderr)
         return 2
     except (DataError, ConvergenceError, UnicodeDecodeError) as exc:

@@ -75,14 +75,13 @@ class RunResult:
 
 _TRUTHFUL = Strategy()
 
-# The most rounds a learned run settles in one exploit_stretch call, and the
-# most pending frozen rounds it lets build up before a training round. It
-# bounds the memory of the gathered rounds and kept model versions: 512 raised
-# the peak RSS of a d = 30 run by about 3%, 256 did not measurably.
+# The most frozen rounds a learned run plays in one exploit_stretch call. It
+# bounds the size of one block's gathered contexts and models.
 _BLOCK_ROUNDS = 256
 
-# The last truthful exploration_only learned run, for its deviant arms without records: copies
-# of its _SHARED columns, draws, models and contexts, which the first arm narrows to its "agent".
+# The last truthful exploration_only learned run made without records, for its deviant arms:
+# copies of its _SHARED columns, draws, models and contexts, which the first arm narrows to its
+# "agent".
 _TWIN: dict[str, Any] = {}
 _SHARED = ("true_means", "utilities", "oracle_second_prices", "estimates", "explored", "eta")
 
@@ -93,11 +92,12 @@ class _PopulationOracle:
     Every agent but ``deviant`` (``None`` for none) reports truthfully.
     ``run_single`` points ``utilities_now`` at the current round's realized
     utilities before each training round, which it plays through the
-    per-round mechanism call, and asks the winners of the frozen rounds
-    with ``compare_stretch``, in batches that may span several stretches.
-    Only the ``random`` reporting strategy consumes stream randomness, so
-    truthful populations keep the deviant's report stream untouched. The engine
-    asks a deviant only under ``all_allocations``, every round in order.
+    per-round mechanism call, and asks the winners of all the frozen rounds
+    with one ``compare_stretch``. Only the ``random`` reporting strategy
+    consumes stream randomness, so truthful populations keep the deviant's
+    report stream untouched. The engine asks a deviant only under
+    ``all_allocations``, every round in order, and such a run has no frozen
+    round.
     """
 
     __slots__ = ("deviant", "strategy", "report_stream", "utilities_now")
@@ -291,59 +291,38 @@ def run_single(
         payments[explored] = 0.0
         draws = iter(zip(drawn_winners.tolist(), drawn_prices.tolist()))
         trains = explored if exploration_only else np.ones(horizon, bool)
-        # A stretch, a maximal run of frozen rounds, reads the models kept
-        # after the training round before it (round 1 always explores, as
-        # floor_rounds >= 1 makes its rate 1). Stretch k keeps its version in
-        # ring row k % _BLOCK_ROUNDS; settling once _BLOCK_ROUNDS frozen rounds
-        # are pending leaves fewer stretches than that unsettled.
-        frozen, training = np.flatnonzero(~trains), np.flatnonzero(trains).tolist()
-        version = (np.cumsum(np.diff(frozen, prepend=-2) > 1) - 1) % _BLOCK_ROUNDS
-        # Gathered rows go into buffers that last the run; fresh (rounds,
-        # agents, dim) arrays left the heap 2-4% larger at its peak.
-        shape = (_BLOCK_ROUNDS,) + state.coefficients.shape
-        versions, row_coefs, row_contexts = (np.empty(shape) for _ in range(3))
-        versions_ready = np.empty((_BLOCK_ROUNDS, n_agents), dtype=bool)
-        settled = kept = 0
-
-        def settle(pending: int) -> None:
-            # Plays the frozen rounds settled..pending-1, _BLOCK_ROUNDS at a time.
-            nonlocal settled
-            for first in range(settled, pending, _BLOCK_ROUNDS):
-                stop = min(first + _BLOCK_ROUNDS, pending)
-                start_round, stop_round = frozen[first], frozen[stop - 1] + 1
-                if stop_round - start_round == stop - first:  # one stretch, one version
-                    rows, read = slice(start_round, stop_round), version[first]
-                    chunk, coefficients = contexts[rows], versions[read]
-                else:
-                    # mode="clip" takes into the buffer; "raise" would use a temporary.
-                    rows, read, size = frozen[first:stop], version[first:stop], stop - first
-                    chunk = np.take(contexts, rows, axis=0, out=row_contexts[:size], mode="clip")
-                    coefficients = np.take(versions, read, axis=0, out=row_coefs[:size], mode="clip")
-                ready = versions_ready[read]
-                estimates[rows], winners, prices = exploit_stretch(coefficients, ready, chunk)
-                allocated[rows] = winners
-                payments[rows] = comparison_prices[rows] = prices
-                reports[rows] = oracle.compare_stretch(utilities[rows], winners, prices)
-            settled = pending
-
-        # Training round i is round ti, so ti - i frozen rounds come before it.
-        for i, (ti, next_ti) in enumerate(zip(training, training[1:] + [horizon])):
+        training, frozen = np.flatnonzero(trains), np.flatnonzero(~trains)
+        # A training round changes only its winner's model. Row i of the
+        # table is that model as training round i left it; the last row, never
+        # ready, is the prior.
+        kept = np.zeros((training.size + 1, contexts.shape[2]))
+        kept_ready = np.zeros(training.size + 1, dtype=bool)
+        for i, ti in enumerate(training.tolist()):
             draw = next(draws) if explored[ti] else None
-            if ti - i - settled >= _BLOCK_ROUNDS:
-                settle(ti - i)
             oracle.utilities_now = utilities[ti]
             record = learned_round(state, contexts[ti], oracle, draw)
             reports[ti] = record.report
             estimates[ti] = state.last_estimates
+            winner = record.allocated_agent
             if draw is None:  # an exploitation round that trains (all_allocations)
-                allocated[ti] = record.allocated_agent
+                allocated[ti] = winner
                 payments[ti] = comparison_prices[ti] = record.payment
-            if next_ti > ti + 1:  # a stretch follows
-                versions[kept % _BLOCK_ROUNDS] = state.coefficients
-                versions_ready[kept % _BLOCK_ROUNDS] = state.ready
-                kept += 1
-        settle(frozen.size)
-        del versions, row_coefs, row_contexts  # freed before a twin's columns are copied
+            kept[i], kept_ready[i] = state.coefficients[winner], state.ready[winner]
+        # A frozen round reads each agent's model from the agent's last
+        # training round before it, or the prior's row (-1) until it has one.
+        last = np.full((horizon, n_agents), -1)
+        last[training, allocated[training]] = np.arange(training.size)
+        np.maximum.accumulate(last, axis=0, out=last)
+        for first in range(0, frozen.size, _BLOCK_ROUNDS):
+            rows = frozen[first:first + _BLOCK_ROUNDS]
+            read = last[rows]
+            estimates[rows], allocated[rows], prices = exploit_stretch(
+                kept[read], kept_ready[read], contexts[rows]
+            )
+            payments[rows] = comparison_prices[rows] = prices
+        reports[frozen] = oracle.compare_stretch(
+            utilities[frozen], allocated[frozen], comparison_prices[frozen]
+        )
         final_models = _model_records(state.models)
     else:
         uniform = config.mechanism == "uniform"
@@ -377,11 +356,11 @@ def run_single(
         scaler_meta=scaler_meta,
         final_models=final_models,
     )
-    if learned and exploration_only and deviant is None:  # a twin of later deviant arms
+    if learned and exploration_only and deviant is None and not keep_records:  # a twin
         _TWIN.update(
             key=(config, seed_index, id(prepared)), prepared=prepared, models=state.models,
-            contexts=contexts.copy() if keep_records else contexts, winners=drawn_winners,
-            prices=drawn_prices, **{name: getattr(result, name).copy() for name in _SHARED},
+            contexts=contexts, winners=drawn_winners, prices=drawn_prices,
+            **{name: getattr(result, name).copy() for name in _SHARED},
         )
     return result
 

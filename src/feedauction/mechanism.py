@@ -15,10 +15,10 @@ changes only in a round that trains it, so every other round is a
 second-price auction on frozen models. :func:`run_round` plays one round,
 training round or not, given its exploration draw or ``None``;
 :func:`exploit_stretch` plays many frozen rounds at once, from the stacked
-coefficients the state keeps next to its models or from versions of them
-kept after earlier training rounds. The uniform baseline is this mechanism
-at exploration rate 1 and makes the same exploration draw, for all of a
-run's rounds at once.
+coefficients the state keeps next to its models or, one set per round, from
+the models that earlier training rounds left. The uniform baseline is this
+mechanism at exploration rate 1 and makes the same exploration draw, for all
+of a run's rounds at once.
 
 The mechanism observes agents only through a :class:`RoundOracle`: a yes/no
 comparison query. Realized utilities never enter any allocation, payment, or

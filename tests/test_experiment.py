@@ -174,10 +174,11 @@ def prepared(corpus):
 
 
 class TestBatchedEngine:
-    """The engine that settles frozen rounds in batches replays the per-round loop.
+    """The engine replays the per-round loop.
 
-    So does a deviant ``exploration_only`` arm, built from its truthful twin
-    and a replay of the deviant's model.
+    It plays the frozen rounds in blocks, each agent read from the table row
+    of its last training round. So does a deviant ``exploration_only`` arm,
+    built from its truthful twin and a replay of the deviant's model.
     """
 
     STRATEGIES = ("truthful", "always_high", "inverted", "random:0.5", "threshold_shift:-0.2")
@@ -317,7 +318,7 @@ class TestBatchedEngine:
     def test_a_random_deviant_waits_out_a_full_block(self):
         # Over _BLOCK_ROUNDS frozen rounds, some of them won by the deviant,
         # lie between two training rounds that the deviant wins: the twin
-        # settles them in more than one block, and the replay counts the
+        # plays them in more than one block, and the replay counts the
         # deviant's wins among them in one step.
         config = self.block_config(
             horizon=4 * self.BLOCK, schedule_kind="constant", eta_constant=0.02,
@@ -336,23 +337,26 @@ class TestBatchedEngine:
         assert any(waits)
 
     def test_a_deviant_arm_trains_only_the_deviant(self, monkeypatch):
-        # At W1's size, right after its twin, a random:0.5 arm plays no round
-        # through run_round and feeds the deviant's model its explored wins.
+        # At W1's size, right after its twin (played without records, as only
+        # such a run is cached), a random:0.5 arm plays no round through
+        # run_round and feeds the deviant's model its explored wins.
         config = ExperimentConfig(
             horizon=20_000, n_agents=10, dim=5, schedule_kind="slow", master_seed=0,
             deviant_index=0, deviant_strategy="random:0.5",
         )
-        run_single(config.replace(deviant_index=None, deviant_strategy="truthful"), 0)
+        truthful = config.replace(deviant_index=None, deviant_strategy="truthful")
+        run_single(truthful, 0, keep_records=False)
         rounds = count_calls(monkeypatch, experiment, "run_round")
         ingested = count_calls(monkeypatch, ValueModel, "ingest")
         run = run_single(config, 0, keep_records=False)
         assert rounds == []
         assert len(ingested) == (run.explored & (run.allocated == 0)).sum() > 0
 
-    def test_many_one_round_stretches_nearly_fill_the_versions(self):
-        # Nine rounds in ten explore, so most stretches are one round long:
-        # the first settle reads over 200 versions, and the run keeps more
-        # versions than the ring has rows.
+    def test_many_one_round_stretches(self):
+        # Nine rounds in ten explore, so most stretches of frozen rounds are
+        # one round long: the first block of frozen rounds reads the models
+        # of over 200 stretches, and the run has more stretches than a block
+        # has rounds.
         config = self.block_config(
             horizon=16 * self.BLOCK, schedule_kind="constant", eta_constant=0.9
         )
@@ -362,9 +366,9 @@ class TestBatchedEngine:
         assert stretches.size + 1 > self.BLOCK
         assert (stretches < self.BLOCK).sum() + 1 > 200
 
-    def test_settles_of_exactly_one_block(self):
-        # _BLOCK_ROUNDS frozen rounds pending before a training round, and at
-        # the end of a run that stops on its _BLOCK_ROUNDS-th frozen round.
+    def test_exactly_one_block_of_frozen_rounds(self):
+        # _BLOCK_ROUNDS frozen rounds before a training round, and a run that
+        # stops on its _BLOCK_ROUNDS-th frozen round.
         for seed in range(64, 100):
             config = self.block_config(
                 horizon=4 * self.BLOCK, schedule_kind="constant", eta_constant=0.5,
@@ -395,6 +399,22 @@ class TestBatchedEngine:
                 mechanism=mechanism_name, training_policy="all_allocations"
             )
             self.assert_replays(config)
+
+    @pytest.mark.parametrize("mechanism_name", ("feedback", "direct_regression"))
+    @pytest.mark.parametrize(
+        "overrides",
+        (dict(schedule_kind="constant", eta_constant=1.0), dict(horizon=1), dict(horizon=2)),
+        ids=("eta-1", "horizon-1", "horizon-2"),
+    )
+    def test_exploration_only_runs_without_a_frozen_round(self, mechanism_name, overrides):
+        # Every round explores, at a constant rate of 1 or within the floor
+        # rounds, so no block of frozen rounds is played.
+        for strategy in ("truthful", "threshold_shift:-0.2", "random:0.5"):
+            config = self.block_config(
+                mechanism=mechanism_name, deviant_strategy=strategy, **overrides
+            )
+            run = self.assert_replays(config)
+            assert run.explored.all()
 
     @pytest.mark.parametrize("strategy", ("inverted", "random:0.5"))
     def test_all_allocations_deviants_play_every_round(self, strategy, monkeypatch):
@@ -461,7 +481,8 @@ class TestBatchedEngine:
 class TestTwinCache:
     """A deviant arm reads its truthful twin from a one-entry cache that never changes a result.
 
-    Arms without records hit it; an arm that keeps records plays its twin afresh.
+    Arms without records hit it; an arm that keeps records plays its twin afresh. Only a
+    truthful run without records fills it.
     """
 
     COLUMNS = (
@@ -490,7 +511,7 @@ class TestTwinCache:
         run_single(small_config(mechanism="uniform"), 0)  # clears the cache
         cold = run_single(config, 1, keep_records=False)
         with_records = run_single(config, 1)
-        run_single(self.twin(config), 1)
+        run_single(self.twin(config), 1, keep_records=False)
         rounds = count_calls(monkeypatch, experiment, "run_round")
         self.assert_same_run(run_single(config, 1, keep_records=False), cold)
         assert rounds == []
@@ -498,12 +519,21 @@ class TestTwinCache:
         world = run_single(self.twin(config), 1).contexts
         np.testing.assert_array_equal(with_records.contexts, world)
 
+    def test_a_truthful_run_with_records_is_not_kept(self, monkeypatch):
+        # A run that keeps records, such as a CLI run, leaves no copy of its
+        # world behind: the next deviant arm plays its twin afresh.
+        config = small_config(deviant_index=3, deviant_strategy="inverted")
+        run_single(self.twin(config), 0)
+        rounds = count_calls(monkeypatch, experiment, "run_round")
+        run_single(config, 0, keep_records=False)
+        assert len(rounds) > 0
+
     def test_mutating_a_returned_run_leaves_later_arms_unchanged(self):
         config = small_config(deviant_index=0, deviant_strategy="always_high")
         run_single(small_config(mechanism="oracle"), 0)
         expected = run_single(config, 0)
-        truthful = run_single(self.twin(config), 0)
-        for column in self.COLUMNS:
+        truthful = run_single(self.twin(config), 0, keep_records=False)
+        for column in self.COLUMNS[1:]:  # a run without records has no contexts
             array = getattr(truthful, column)
             if array.dtype == bool:
                 np.logical_not(array, out=array)
@@ -530,7 +560,7 @@ class TestTwinCache:
         )
         prepared = prepare_dataset(corpus, 4)
         seed_index, keep_records = 0, False
-        run_single(self.twin(config), 0, prepared)
+        run_single(self.twin(config), 0, prepared, keep_records=False)
         run_single(config, 0, prepared, keep_records=False)  # narrows the cache to agent 1
         if change == "seed_index":
             seed_index = 1
