@@ -29,7 +29,6 @@ from .dataio import CATEGORIES, FeatureScaler, LabeledExample, pca_fit, pca_tran
 from .learner import ValueModel
 from .mechanism import (
     MechanismState, _clamped_scores, _explore, exploit_stretch, exploration_rate, run_round,
-    second_price,
 )
 from .metrics import oracle_prices
 
@@ -80,8 +79,9 @@ _TRUTHFUL = Strategy()
 _BLOCK_ROUNDS = 256
 
 # The last truthful exploration_only learned run made without records, for its deviant arms:
-# copies of its _SHARED columns, draws, models and contexts, which the first arm narrows to its
-# "agent".
+# copies of its _SHARED columns, draws, models and contexts. The first arm narrows the contexts
+# to its "agent" and adds the other agents' best estimate, its index and their second-best
+# estimate per round ("top").
 _TWIN: dict[str, Any] = {}
 _SHARED = ("true_means", "utilities", "oracle_second_prices", "estimates", "explored", "eta")
 
@@ -375,54 +375,105 @@ def _deviant_arm(
     """A deviant ``exploration_only`` arm: its truthful twin with the deviant's model replayed.
 
     Only the deviant's model differs from the twin's; round t reads the model left by the
-    deviant's last explored win (event) before t. A ``random`` deviant gives its k-th query
-    the k-th answer of its stream, so its exploitation wins between two events are counted.
+    deviant's last explored win (event) before t. Every frozen round is an auction of the
+    deviant's estimate against the other agents' best and second-best, which the first arm
+    of a twin computes once. A ``random`` deviant gives its k-th query the k-th answer of its
+    stream, so its exploitation wins between two events are counted; every other deviant
+    answers each event alike in any order, so its model is replayed in closed form.
     """
     twin, deviant, strategy = _TWIN, config.deviant_index, Strategy.parse(config.deviant_strategy)
-    models = twin["models"]
     arm = {name: twin[name].copy() for name in _SHARED}
     estimates, utilities, explored = arm["estimates"], arm["utilities"], arm["explored"]
     world, won = twin["contexts"], twin["winners"] == deviant
-    own = world if twin.get("agent") == deviant else world[:, deviant].copy()
-    twin["contexts"], twin["agent"] = own, deviant
-    events, horizon = np.flatnonzero(explored)[won], explored.size
+    if twin.get("agent") != deviant:  # the first arm narrows the cache to its deviant
+        others, rounds = estimates.copy(), np.arange(explored.size)
+        others[:, deviant] = -np.inf
+        leader = others.argmax(axis=1)
+        best = others[rounds, leader]
+        others[rounds, leader] = -np.inf  # leaves the second-best
+        top = best, leader, others.max(axis=1)
+        twin.update(contexts=world[:, deviant].copy(), agent=deviant, top=top)
+    own, (best, leader, second) = twin["contexts"], twin["top"]
+    events = np.flatnonzero(explored)[won]
     column = estimates[:, deviant]  # a view: the replay writes the arm's estimates
-    counts_wins = config.mechanism == "feedback" and strategy.kind == "random"
-    stream = derive_stream(run_seed, f"agents/report/{deviant}")
-    if config.mechanism == "direct_regression":
-        targets = utilities[events, deviant]
-    elif counts_wins:  # answers in query order; a random answer reads neither argument
-        targets = report(strategy, utilities[:, deviant], utilities[:, deviant], stream)
+    stream_name = f"agents/report/{deviant}"
+    if config.mechanism == "feedback" and strategy.kind == "random":
+        # Answers in query order; a random answer reads neither argument.
+        targets = report(
+            strategy, utilities[:, deviant], utilities[:, deviant],
+            derive_stream(run_seed, stream_name),
+        )
+        model, coefficients, start, asked = ValueModel(own.shape[1]), None, 0, 0
+        column[:] = ValueModel.prior_estimate  # until the model is ready
+        for stop in (events + 1).tolist() + [explored.size]:
+            if coefficients is not None:
+                column[start:stop] = _clamped_scores(coefficients, own[start:stop])
+            if stop == explored.size:
+                break
+            rows = slice(start, stop - 1)  # its exploitation wins since its last event
+            asked += np.count_nonzero(
+                ~explored[rows] & _wins(column[rows], best[rows], leader[rows], deviant)
+            )
+            model.ingest(own[stop - 1], targets[asked])
+            asked += 1
+            if model.sample_count >= model.min_samples:
+                coefficients = model.fit()
+            start = stop
+        record = _model_records([model])[0]
     else:
-        targets = report(strategy, utilities[events, deviant], twin["prices"][won])
-    model, coefficients, start, asked = ValueModel(own.shape[1]), None, 0, 0
-    column[:] = ValueModel.prior_estimate  # until the model is ready
-    for stop in (events + 1).tolist() + [horizon]:
-        if coefficients is not None:
-            column[start:stop] = _clamped_scores(coefficients, own[start:stop])
-        if stop == horizon:
-            break
-        if counts_wins:  # its exploitation wins since its last event, by second_price's argmax
-            rows = slice(start, stop - 1)
-            asked += np.count_nonzero(~explored[rows] & (estimates[rows].argmax(axis=1) == deviant))
-        model.ingest(own[stop - 1], targets[asked])
-        asked += 1
-        if model.sample_count >= model.min_samples:
-            coefficients = model.fit()
-        start = stop
-    allocated, comparison_prices = np.empty(horizon, dtype=int), np.empty(horizon)
+        if config.mechanism == "direct_regression":
+            targets = utilities[events, deviant]
+        else:
+            targets = report(strategy, utilities[events, deviant], twin["prices"][won])
+        record = _closed_form_replay(own, events, targets, column)
+    wins = _wins(column, best, leader, deviant)
+    allocated = np.where(wins, deviant, leader)
+    comparison_prices = np.where(wins, best, np.maximum(column, second))
     allocated[explored], comparison_prices[explored] = twin["winners"], twin["prices"]
-    allocated[~explored], comparison_prices[~explored] = second_price(estimates[~explored])
+    final_models = _model_records(twin["models"])
+    final_models[deviant] = record
     # A fresh stream: the reports read the answers the replay read.
-    oracle = _PopulationOracle(deviant, strategy, derive_stream(run_seed, stream.name))
+    oracle = _PopulationOracle(deviant, strategy, derive_stream(run_seed, stream_name))
     return RunResult(
         config=config, seed_index=seed_index, run_seed=run_seed, allocated=allocated,
-        contexts=world.copy() if keep_records else None, comparison_prices=comparison_prices,
+        contexts=world if keep_records else None, comparison_prices=comparison_prices,
         payments=np.where(explored, 0.0, comparison_prices), **arm,
         reports=oracle.compare_stretch(utilities, allocated, comparison_prices),
         scaler_meta=dict(twin["prepared"].meta) if config.data_source == "csv" else None,
-        final_models=_model_records(models[:deviant] + [model] + models[deviant + 1:]),
+        final_models=final_models,
     )
+
+
+def _wins(column: np.ndarray, best: np.ndarray, leader: np.ndarray, deviant: int) -> np.ndarray:
+    # The rounds second_price gives the deviant: it beats the others' best, or ties it ahead
+    # of a leader with a higher index.
+    return (column > best) | ((column == best) & (deviant < leader))
+
+
+def _closed_form_replay(
+    own: np.ndarray, events: np.ndarray, targets: np.ndarray, column: np.ndarray
+) -> dict[str, Any]:
+    """Write the deviant's estimates from its events' samples; return its final model record.
+
+    Row k of the table is the model after event k, fitted as ``ValueModel`` would: the running
+    sums add in ``ingest``'s order, and one batched solve makes the same LAPACK call as ``fit``
+    on every row from the first ready one. One more row, read as row -1, is the prior.
+    """
+    count, dim = events.size, own.shape[1]
+    samples = own[events]
+    grams = np.cumsum(samples[:, :, None] * samples[:, None, :], axis=0)
+    moments = np.cumsum(targets.astype(float)[:, None] * samples, axis=0)
+    table = np.zeros((count + 1, dim))
+    first = min(count, dim) - 1  # the first ready row, or the last row of a model never ready
+    if count:
+        table[first:count] = np.linalg.solve(
+            grams[first:] + ValueModel.ridge * np.eye(dim), moments[first:, :, None]
+        )[..., 0]
+    read = np.searchsorted(events, np.arange(column.size)) - 1
+    ready = read >= dim - 1  # row k has k + 1 samples; the prior's row -1 is never ready
+    column[:] = np.where(ready, _clamped_scores(table[read], own), ValueModel.prior_estimate)
+    # Row count - 1 holds the lazily fitted coefficients, or, with no event, the prior's zeros.
+    return dict(sample_count=count, coefficients=table[count - 1].tolist())
 
 
 def paired_deviation_runs(

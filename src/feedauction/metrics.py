@@ -89,9 +89,7 @@ def per_agent_welfare_loss(true_means: np.ndarray, allocated: np.ndarray) -> np.
     """
     true_means, allocated = _check_alloc_inputs(true_means, allocated)
     increments = welfare_regret(true_means, allocated)
-    losses = np.zeros(true_means.shape[1])
-    np.add.at(losses, allocated, increments)
-    return losses
+    return np.bincount(allocated, weights=increments, minlength=true_means.shape[1])
 
 
 def per_round_profit(run_truthful, run_deviant, agent: int) -> np.ndarray:
@@ -113,13 +111,14 @@ def per_round_profit(run_truthful, run_deviant, agent: int) -> np.ndarray:
         )
     if not np.array_equal(run_truthful.true_means, run_deviant.true_means):
         raise ValueError("paired runs were not driven by common random numbers")
-    truthful = per_agent_net_utility(
-        run_truthful.true_means, run_truthful.allocated, run_truthful.payments
-    )[:, agent]
-    deviant = per_agent_net_utility(
-        run_deviant.true_means, run_deviant.allocated, run_deviant.payments
-    )[:, agent]
-    return deviant - truthful
+    return _net_utility_column(run_deviant, agent) - _net_utility_column(run_truthful, agent)
+
+
+def _net_utility_column(run, agent: int) -> np.ndarray:
+    # Column ``agent`` of per_agent_net_utility, without the other agents' columns.
+    true_means, allocated = _check_alloc_inputs(run.true_means, run.allocated)
+    payments = np.asarray(run.payments, dtype=float)
+    return np.where(allocated == agent, true_means[:, agent] - payments, 0.0)
 
 
 def loglog_tail_slope(cumulative: np.ndarray) -> float:

@@ -352,6 +352,31 @@ class TestBatchedEngine:
         assert rounds == []
         assert len(ingested) == (run.explored & (run.allocated == 0)).sum() > 0
 
+    @pytest.mark.parametrize(
+        "mechanism_name, strategy",
+        (
+            *(("feedback", s) for s in ("always_high", "inverted", "threshold_shift:0.2")),
+            ("direct_regression", "random:0.5"),
+        ),
+    )
+    def test_a_replay_in_closed_form_fits_no_model(self, mechanism_name, strategy, monkeypatch):
+        # Right after its twin, an arm whose answers do not depend on query order plays no
+        # round and neither ingests nor fits: its model comes from running sums and one
+        # batched solve.
+        config = self.block_config(
+            mechanism=mechanism_name, deviant_index=0, deviant_strategy=strategy
+        )
+        truthful = config.replace(deviant_index=None, deviant_strategy="truthful")
+        run_single(truthful, 0, keep_records=False)
+        calls = [
+            count_calls(monkeypatch, owner, name)
+            for owner, name in ((experiment, "run_round"), (ValueModel, "ingest"),
+                                (ValueModel, "fit"))
+        ]
+        run = run_single(config, 0, keep_records=False)
+        assert calls == [[], [], []]
+        assert run.final_models[0]["sample_count"] >= config.dim
+
     def test_many_one_round_stretches(self):
         # Nine rounds in ten explore, so most stretches of frozen rounds are
         # one round long: the first block of frozen rounds reads the models
@@ -445,6 +470,97 @@ class TestBatchedEngine:
                 )
             )
 
+    LEARNED_PRICES = tuple(
+        itertools.product(("feedback", "direct_regression"), ("uniform", "fixed:0.4"))
+    )
+    REPLAYED = ("always_high", "inverted", "threshold_shift:0.2", "random:0.5")
+
+    def few_events_config(self, deviant, wanted, **overrides):
+        # The first master seed at which ``deviant`` wins ``wanted(count)`` explored rounds,
+        # in short runs that explore about one round in twenty-five. The winners come from
+        # the agent stream alone, so the count holds for every mechanism, price rule and
+        # strategy.
+        for seed in range(64, 400):
+            config = self.block_config(
+                horizon=400, dim=4, schedule_kind="constant", eta_constant=0.04,
+                floor_rounds=1, master_seed=seed, **overrides,
+            )
+            truthful = config.replace(deviant_index=None, deviant_strategy="truthful")
+            run = run_single(truthful, 0, keep_records=False)
+            if wanted(int((run.explored & (run.allocated == deviant)).sum())):
+                return config
+        raise AssertionError("no seed in range gives the wanted event count")
+
+    @pytest.mark.parametrize("mechanism_name, price", LEARNED_PRICES)
+    @pytest.mark.parametrize(
+        "wanted",
+        (lambda count: count == 0, lambda count: 0 < count < 4, lambda count: count == 4),
+        ids=("none", "fewer-than-dim", "exactly-dim"),
+    )
+    def test_deviants_with_few_events_replay(self, mechanism_name, price, wanted):
+        # A deviant that never trains, one that stays on the prior, and one that becomes
+        # ready at its last event, first and last.
+        for deviant in (0, 3):
+            config = self.few_events_config(
+                deviant, wanted, mechanism=mechanism_name, price_distribution=price
+            )
+            for strategy in self.REPLAYED:
+                run = self.assert_replays(
+                    config.replace(deviant_index=deviant, deviant_strategy=strategy)
+                )
+                count = int((run.explored & (run.allocated == deviant)).sum())
+                assert wanted(count) and run.final_models[deviant]["sample_count"] == count
+                on_prior = run.estimates[:, deviant] == ValueModel.prior_estimate
+                assert on_prior.all() == (count < config.dim)
+
+    @pytest.mark.parametrize("mechanism_name, price", LEARNED_PRICES)
+    def test_ties_at_the_prior_replay(self, mechanism_name, price):
+        # One round in three explores from round 2 on, so rounds where every agent is
+        # still on the prior are auctioned: the lowest index wins the tie.
+        for deviant, strategy in itertools.product((0, 3), self.REPLAYED):
+            run = self.assert_replays(
+                self.block_config(
+                    horizon=400, schedule_kind="constant", eta_constant=0.3, floor_rounds=1,
+                    mechanism=mechanism_name, price_distribution=price,
+                    deviant_index=deviant, deviant_strategy=strategy,
+                )
+            )
+            tied = ~run.explored & (run.estimates == ValueModel.prior_estimate).all(axis=1)
+            assert tied.any()
+            assert np.all(run.allocated[tied] == 0)
+
+    @pytest.mark.parametrize("mechanism_name", ("feedback", "direct_regression"))
+    @pytest.mark.parametrize("price", ("fixed:0.0", "fixed:1.0"))
+    def test_ties_at_clamped_estimates_replay(self, mechanism_name, price):
+        # At the price 1.0 nearly every answer is no: feedback models fit zero and their
+        # estimates clamp to 0.0, where an always_low deviant ties with the others.
+        # direct_regression trains on utilities, which the price does not move.
+        for deviant, strategy in itertools.product((0, 3), ("always_low", "always_high")):
+            config = self.block_config(
+                mechanism=mechanism_name, price_distribution=price,
+                deviant_index=deviant, deviant_strategy=strategy,
+            )
+            run = self.assert_replays(config)
+            column = run.estimates[:, deviant]
+            others = np.delete(run.estimates, deviant, axis=1).max(axis=1)
+            tied = ~run.explored & (column == others) & ((column == 0.0) | (column == 1.0))
+            if (mechanism_name, price, strategy) == ("feedback", "fixed:1.0", "always_low"):
+                assert tied.any()
+                assert np.all((run.allocated[tied] == deviant) == (deviant == 0))
+
+    @pytest.mark.parametrize("mechanism_name, price", LEARNED_PRICES)
+    def test_deviants_on_a_csv_world_at_dimension_30(self, mechanism_name, price):
+        corpus_30 = generate_synthetic_dataset(300, 32, 3)
+        prepared_30 = prepare_dataset(corpus_30, 30)
+        for deviant, strategy in itertools.product((0, 5), ("inverted", "random:0.5")):
+            config = self.block_config(
+                horizon=2 * self.BLOCK + 100, n_agents=6, mechanism=mechanism_name,
+                price_distribution=price, deviant_index=deviant, deviant_strategy=strategy,
+                data_source="csv", data_path="corpus.csv", pca_components=30,
+            )
+            run = self.assert_replays(config, prepared_30)
+            assert run.final_models[deviant]["sample_count"] >= 30
+
     def test_a_csv_world_at_dimension_30(self):
         corpus_30 = generate_synthetic_dataset(300, 32, 3)
         config = self.block_config(
@@ -511,6 +627,9 @@ class TestTwinCache:
         run_single(small_config(mechanism="uniform"), 0)  # clears the cache
         cold = run_single(config, 1, keep_records=False)
         with_records = run_single(config, 1)
+        # The arm returns its world; the cache keeps only the deviant's contexts.
+        assert experiment._TWIN["contexts"].shape == (config.horizon, config.dim)
+        assert with_records.contexts.shape == (config.horizon, config.n_agents, config.dim)
         run_single(self.twin(config), 1, keep_records=False)
         rounds = count_calls(monkeypatch, experiment, "run_round")
         self.assert_same_run(run_single(config, 1, keep_records=False), cold)

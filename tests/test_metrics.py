@@ -110,6 +110,19 @@ class TestWelfareLossHistogram:
         total = welfare_regret(run.true_means, run.allocated).sum()
         assert losses.sum() == pytest.approx(total, rel=1e-12)
 
+    def test_each_agent_sums_its_rounds_in_order(self):
+        # Agent 5 never wins, so its bin is an exact zero.
+        config = ExperimentConfig(horizon=800, n_agents=6, dim=4, master_seed=3)
+        run = run_single(config, 0)
+        allocated = np.where(run.allocated == 5, 0, run.allocated)
+        increments = welfare_regret(run.true_means, allocated)
+        expected = np.zeros(6)
+        for agent, increment in zip(allocated.tolist(), increments.tolist()):
+            expected[agent] += increment
+        losses = per_agent_welfare_loss(run.true_means, allocated)
+        assert losses.shape == (6,) and losses[5] == 0.0
+        assert np.array_equal(losses, expected)
+
 
 class TestLoglogTailSlope:
     def test_exact_power_laws(self):
@@ -152,6 +165,21 @@ class TestPairedProfit:
     def test_deviation_changes_the_ledger(self):
         truthful, deviant = self.twin_runs("always_high")
         assert per_round_profit(truthful, deviant, 1).sum() != 0.0
+
+    @pytest.mark.parametrize("strategy", ("always_high", "inverted"))
+    def test_profit_is_the_difference_of_net_utility_columns(self, strategy):
+        # Bit for bit, including the rounds the agent wins in neither run.
+        truthful, deviant = self.twin_runs(strategy)
+        columns = [
+            per_agent_net_utility(run.true_means, run.allocated, run.payments)[:, 1]
+            for run in (deviant, truthful)
+        ]
+        profit = per_round_profit(truthful, deviant, 1)
+        assert profit.dtype == np.float64
+        assert np.array_equal(profit, columns[0] - columns[1])
+        neither = (truthful.allocated != 1) & (deviant.allocated != 1)
+        assert neither.any() and np.all(profit[neither] == 0.0)
+        assert not np.signbit(profit[neither]).any()
 
     def test_pairing_is_validated(self):
         config = ExperimentConfig(horizon=200, n_agents=3, dim=2, master_seed=1)
