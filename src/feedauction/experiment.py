@@ -30,7 +30,7 @@ from .learner import ValueModel
 from .mechanism import (
     MechanismState, _clamped_scores, _explore, exploit_stretch, exploration_rate, run_round,
 )
-from .metrics import oracle_prices
+from .metrics import _row_max, oracle_prices
 
 __all__ = [
     "PreparedDataset",
@@ -49,6 +49,10 @@ class RunResult:
 
     ``contexts``, the world's (rounds, agents, dim) array, is needed only by
     the ledger; it is ``None`` for runs made with ``keep_records=False``.
+    A deviant ``exploration_only`` arm's ``true_means``, ``utilities``,
+    ``oracle_second_prices``, ``explored`` and ``eta`` are its truthful
+    twin's, shared by every arm of that twin and read-only; its other
+    columns are its own.
     """
 
     config: ExperimentConfig
@@ -79,9 +83,10 @@ _TRUTHFUL = Strategy()
 _BLOCK_ROUNDS = 256
 
 # The last truthful exploration_only learned run made without records, for its deviant arms:
-# copies of its _SHARED columns, draws, models and contexts. The first arm narrows the contexts
-# to its "agent" and adds the other agents' best estimate, its index and their second-best
-# estimate per round ("top").
+# read-only copies of its _SHARED columns, its draws, models and contexts. Every deviant arm
+# returns these columns themselves, but for "estimates", which it copies and writes. The first
+# arm narrows the contexts to its "agent" and adds the other agents' best estimate, its index
+# and their second-best estimate per round ("top").
 _TWIN: dict[str, Any] = {}
 _SHARED = ("true_means", "utilities", "oracle_second_prices", "estimates", "explored", "eta")
 
@@ -362,6 +367,8 @@ def run_single(
             contexts=contexts, winners=drawn_winners, prices=drawn_prices,
             **{name: getattr(result, name).copy() for name in _SHARED},
         )
+        for name in _SHARED:  # every deviant arm shares them
+            _TWIN[name].flags.writeable = False
     return result
 
 
@@ -382,8 +389,10 @@ def _deviant_arm(
     answers each event alike in any order, so its model is replayed in closed form.
     """
     twin, deviant, strategy = _TWIN, config.deviant_index, Strategy.parse(config.deviant_strategy)
-    arm = {name: twin[name].copy() for name in _SHARED}
-    estimates, utilities, explored = arm["estimates"], arm["utilities"], arm["explored"]
+    # The twin's read-only columns, shared by every arm, but for the one column the arm writes.
+    arm = {name: twin[name] for name in _SHARED}
+    arm["estimates"] = estimates = twin["estimates"].copy()
+    utilities, explored = arm["utilities"], arm["explored"]
     world, won = twin["contexts"], twin["winners"] == deviant
     if twin.get("agent") != deviant:  # the first arm narrows the cache to its deviant
         others, rounds = estimates.copy(), np.arange(explored.size)
@@ -391,7 +400,7 @@ def _deviant_arm(
         leader = others.argmax(axis=1)
         best = others[rounds, leader]
         others[rounds, leader] = -np.inf  # leaves the second-best
-        top = best, leader, others.max(axis=1)
+        top = best, leader, _row_max(others)
         twin.update(contexts=world[:, deviant].copy(), agent=deviant, top=top)
     own, (best, leader, second) = twin["contexts"], twin["top"]
     events = np.flatnonzero(explored)[won]
@@ -469,7 +478,8 @@ def _closed_form_replay(
         table[first:count] = np.linalg.solve(
             grams[first:] + ValueModel.ridge * np.eye(dim), moments[first:, :, None]
         )[..., 0]
-    read = np.searchsorted(events, np.arange(column.size)) - 1
+    # Round t reads the row of the last event before t: run lengths of the rows in order.
+    read = np.repeat(np.arange(-1, count), np.diff(events, prepend=-1, append=column.size - 1))
     ready = read >= dim - 1  # row k has k + 1 samples; the prior's row -1 is never ready
     column[:] = np.where(ready, _clamped_scores(table[read], own), ValueModel.prior_estimate)
     # Row count - 1 holds the lazily fitted coefficients, or, with no event, the prior's zeros.

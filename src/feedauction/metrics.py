@@ -37,6 +37,24 @@ def _check_alloc_inputs(true_means: np.ndarray, allocated: np.ndarray) -> tuple[
     return true_means, allocated
 
 
+def _row_max(values: np.ndarray) -> np.ndarray:
+    """``values.max(axis=1)``, bit for bit, taken one column at a time.
+
+    ``max(axis=1)`` walks a (rounds, agents) block one short row at a time;
+    ``np.maximum`` over its columns runs along the rounds. The two agree on
+    every row whose maximum is neither zero nor NaN. A zero's sign and a
+    NaN's bits depend on the order numpy reduces a row in, so those rows are
+    taken with ``max(axis=1)`` itself.
+    """
+    best = values[:, 0].copy()
+    for j in range(1, values.shape[1]):
+        np.maximum(best, values[:, j], out=best)
+    odd = (best == 0.0) | np.isnan(best)
+    if odd.any():
+        best[odd] = values[odd].max(axis=1)
+    return best
+
+
 def welfare_regret(true_means: np.ndarray, allocated: np.ndarray) -> np.ndarray:
     """Per-round welfare shortfall against the best-agent allocation.
 
@@ -44,7 +62,7 @@ def welfare_regret(true_means: np.ndarray, allocated: np.ndarray) -> np.ndarray:
     """
     true_means, allocated = _check_alloc_inputs(true_means, allocated)
     rows = np.arange(true_means.shape[0])
-    return true_means.max(axis=1) - true_means[rows, allocated]
+    return _row_max(true_means) - true_means[rows, allocated]
 
 
 def oracle_prices(true_means: np.ndarray) -> np.ndarray:
@@ -63,7 +81,7 @@ def estimation_error_trace(true_means: np.ndarray, estimates: np.ndarray) -> np.
         raise ValueError(
             f"estimates have shape {estimates.shape}, expected {true_means.shape}"
         )
-    return np.abs(true_means - estimates).max(axis=1)
+    return _row_max(np.abs(true_means - estimates))
 
 
 def per_agent_net_utility(

@@ -648,21 +648,33 @@ class TestTwinCache:
         assert len(rounds) > 0
 
     def test_mutating_a_returned_run_leaves_later_arms_unchanged(self):
+        # An arm's own columns and the truthful run's are writable copies. The columns an arm
+        # keeps from its twin are the cache's read-only arrays, so writing one fails.
+        own = ("estimates", "allocated", "payments", "comparison_prices", "reports")
+        shared = ("true_means", "utilities", "oracle_second_prices", "explored", "eta")
+        assert sorted(own + shared) == sorted(self.COLUMNS[1:])
+
+        def mutate(array):
+            if array.dtype == bool:
+                np.logical_not(array, out=array)
+            else:
+                array += 1
+
         config = small_config(deviant_index=0, deviant_strategy="always_high")
         run_single(small_config(mechanism="oracle"), 0)
         expected = run_single(config, 0)
         truthful = run_single(self.twin(config), 0, keep_records=False)
         for column in self.COLUMNS[1:]:  # a run without records has no contexts
-            array = getattr(truthful, column)
-            if array.dtype == bool:
-                np.logical_not(array, out=array)
-            else:
-                array += 1
+            mutate(getattr(truthful, column))
         truthful.final_models[0]["coefficients"][0] = 9.0
         first = run_single(config, 0, keep_records=False)
         self.assert_same_run(first, expected)
-        for column in self.COLUMNS[1:]:
-            getattr(first, column)[...] = 0
+        for column in own:
+            mutate(getattr(first, column))
+        first.final_models[0]["coefficients"][0] = 9.0
+        for column in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(first, column)[...] = 0
         self.assert_same_run(run_single(config, 0, keep_records=False), expected)
 
     @pytest.mark.parametrize(

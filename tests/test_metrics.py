@@ -2,10 +2,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from feedauction.config import ExperimentConfig
 from feedauction.experiment import paired_deviation_runs, run_single
 from feedauction.metrics import (
+    _row_max,
     build_series,
     estimation_error_trace,
     loglog_tail_slope,
@@ -80,6 +84,36 @@ class TestEstimationError:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             estimation_error_trace(MEANS, np.zeros((3, 3)))
+
+
+# Few distinct values, so rows tie often, with signed zeros, infinities and NaNs of both
+# signs among them.
+ENTRIES = st.sampled_from(
+    [0.0, -0.0, 0.25, 1.0, -1.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)]
+)
+SHAPES = st.tuples(st.integers(0, 50), st.integers(1, 12))
+
+
+class TestRowMax:
+    """``_row_max`` is ``max(axis=1)`` bit for bit; compared as bytes for signs and NaN."""
+
+    @given(arrays(float, SHAPES, elements=ENTRIES))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_equals_max_along_rows(self, values):
+        assert _row_max(values).tobytes() == values.max(axis=1).tobytes()
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_row_metrics_keep_their_formulas(self, data):
+        rows, agents = data.draw(SHAPES)
+        means = data.draw(arrays(float, (rows, agents), elements=ENTRIES))
+        estimates = data.draw(arrays(float, (rows, agents), elements=ENTRIES))
+        allocated = data.draw(arrays(int, rows, elements=st.integers(0, agents - 1)))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            regret = means.max(axis=1) - means[np.arange(rows), allocated]
+            assert welfare_regret(means, allocated).tobytes() == regret.tobytes()
+            errors = np.abs(means - estimates).max(axis=1)
+            assert estimation_error_trace(means, estimates).tobytes() == errors.tobytes()
 
 
 class TestNetUtility:
