@@ -48,7 +48,8 @@ class RunResult:
     """Per-round columns of one completed run; ``len()`` is its horizon.
 
     ``contexts``, the world's (rounds, agents, dim) array, is needed only by
-    the ledger; it is ``None`` for runs made with ``keep_records=False``.
+    the ledger; it is ``None`` for runs made with ``keep_records=False``. A
+    csv world is gathered into it from its pool only for a run with records.
     A deviant ``exploration_only`` arm's ``true_means``, ``utilities``,
     ``oracle_second_prices``, ``explored`` and ``eta`` are its truthful
     twin's, shared by every arm of that twin and read-only; its other
@@ -83,10 +84,11 @@ _TRUTHFUL = Strategy()
 _BLOCK_ROUNDS = 256
 
 # The last truthful exploration_only learned run made without records, for its deviant arms:
-# read-only copies of its _SHARED columns, its draws, models and contexts. Every deviant arm
-# returns these columns themselves, but for "estimates", which it copies and writes. The first
-# arm narrows the contexts to its "agent" and adds the other agents' best estimate, its index
-# and their second-best estimate per round ("top").
+# read-only copies of its _SHARED columns, its draws, models and contexts (a csv world's pool
+# and draw index, not a gathered world). Every deviant arm returns these columns themselves,
+# but for "estimates", which it copies and writes. The first arm narrows the contexts to its
+# "agent", a (rounds, dim) array, and adds the other agents' best estimate, its index and
+# their second-best estimate per round ("top").
 _TWIN: dict[str, Any] = {}
 _SHARED = ("true_means", "utilities", "oracle_second_prices", "estimates", "explored", "eta")
 
@@ -161,6 +163,29 @@ def _synthetic_world(
     return contexts, true_means, utilities
 
 
+class _DrawnContexts:
+    """A csv world's contexts: agent a's context in round t is ``pool[draws[t, a]]``.
+
+    It is indexed like the (rounds, agents, dim) array it stands for, and gathers only the
+    rows asked for; ``np.asarray`` gathers the whole world.
+    """
+
+    __slots__ = ("pool", "draws")
+
+    def __init__(self, pool: np.ndarray, draws: np.ndarray) -> None:
+        self.pool, self.draws = pool, draws
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (*self.draws.shape, self.pool.shape[1])
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.pool[self.draws[key]]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.pool[self.draws]
+
+
 @dataclass
 class PreparedDataset:
     """Deterministic dataset pipeline output, computed once and shared.
@@ -200,7 +225,7 @@ def prepare_dataset(examples: list[LabeledExample], pca_components: int) -> Prep
 
 def _dataset_world(
     config: ExperimentConfig, run_seed: int, prepared: PreparedDataset
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, Any]]:
+) -> tuple[_DrawnContexts, np.ndarray, np.ndarray, dict[str, Any]]:
     if prepared.pca_components != config.pca_components:
         raise ValueError(
             f"dataset was prepared with {prepared.pca_components} components, "
@@ -209,7 +234,7 @@ def _dataset_world(
     draws = derive_stream(run_seed, "world/examples").integers(
         prepared.n_examples, size=(config.horizon, config.n_agents)
     )
-    contexts = prepared.contexts_pool[draws]
+    world = _DrawnContexts(prepared.contexts_pool, draws)
     # Agent i is harmed by category i in CATEGORIES' fixed order, cycling, so
     # every category is covered once n_agents reaches six.
     sensitivity_index = np.arange(config.n_agents) % len(CATEGORIES)
@@ -217,7 +242,7 @@ def _dataset_world(
     utilities = 1.0 - harmed.astype(float)
     # Utilities are deterministic given the drawn example, so the true
     # expected utility of showing it equals the realized value.
-    return contexts, utilities.copy(), utilities, dict(prepared.meta)
+    return world, utilities.copy(), utilities, dict(prepared.meta)
 
 
 def exploration_schedule(state: MechanismState, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +371,7 @@ def run_single(
         config=config,
         seed_index=seed_index,
         run_seed=run_seed,
-        contexts=contexts if keep_records else None,
+        contexts=np.asarray(contexts) if keep_records else None,
         true_means=true_means,
         utilities=utilities,
         # A copy: the column is a view of the partitioned (rounds, agents) matrix.
@@ -445,7 +470,7 @@ def _deviant_arm(
     oracle = _PopulationOracle(deviant, strategy, derive_stream(run_seed, stream_name))
     return RunResult(
         config=config, seed_index=seed_index, run_seed=run_seed, allocated=allocated,
-        contexts=world if keep_records else None, comparison_prices=comparison_prices,
+        contexts=np.asarray(world) if keep_records else None, comparison_prices=comparison_prices,
         payments=np.where(explored, 0.0, comparison_prices), **arm,
         reports=oracle.compare_stretch(utilities, allocated, comparison_prices),
         scaler_meta=dict(twin["prepared"].meta) if config.data_source == "csv" else None,

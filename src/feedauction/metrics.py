@@ -81,7 +81,8 @@ def estimation_error_trace(true_means: np.ndarray, estimates: np.ndarray) -> np.
         raise ValueError(
             f"estimates have shape {estimates.shape}, expected {true_means.shape}"
         )
-    return _row_max(np.abs(true_means - estimates))
+    errors = np.subtract(true_means, estimates)
+    return _row_max(np.abs(errors, out=errors))
 
 
 def per_agent_net_utility(

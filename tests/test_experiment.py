@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -847,3 +848,65 @@ class TestDatasetWorlds:
         meta = run_metadata(run_single(self.toxic_config(), 0, prepared))
         assert meta["feature_scaling"]["pca_components"] == 4
         assert len(meta["feature_scaling"]["feature_min"]) == 4
+
+    @pytest.mark.parametrize(
+        "mechanism_name, policy",
+        itertools.product(
+            ("feedback", "direct_regression", "uniform", "oracle"),
+            ("exploration_only", "all_allocations"),
+        ),
+    )
+    def test_runs_read_through_the_index_match_the_gathered_world(
+        self, mechanism_name, policy, prepared
+    ):
+        # A run reads its contexts through the draw index; only a run with records gathers
+        # the world. Both give the same columns, and that world is pool[draws] itself.
+        base = self.toxic_config(horizon=600, mechanism=mechanism_name, training_policy=policy)
+        cases = [(None, "truthful")] + list(
+            itertools.product((0, base.n_agents - 1), ("inverted", "random:0.5"))
+        )
+        for deviant, strategy in cases:
+            config = base.replace(deviant_index=deviant, deviant_strategy=strategy)
+            indexed = run_single(config, 0, prepared, keep_records=False)
+            gathered = run_single(config, 0, prepared)
+            assert indexed.contexts is None
+            for column in TestTwinCache.COLUMNS[1:]:
+                a, b = getattr(indexed, column), getattr(gathered, column)
+                if a is None or b is None:
+                    assert a is None and b is None, (column, deviant, strategy)
+                    continue
+                assert a.dtype == b.dtype, (column, deviant, strategy)
+                assert np.array_equal(a, b), (column, deviant, strategy)
+            assert indexed.final_models == gathered.final_models
+            assert indexed.scaler_meta == gathered.scaler_meta
+            draws = derive_stream(gathered.run_seed, "world/examples").integers(
+                prepared.n_examples, size=(config.horizon, config.n_agents)
+            )
+            world = gathered.contexts
+            assert world.dtype == np.float64 and world.flags["C_CONTIGUOUS"]
+            assert world.tobytes() == prepared.contexts_pool[draws].tobytes()
+
+    @pytest.mark.parametrize("mechanism_name", ("feedback", "direct_regression", "uniform", "oracle"))
+    def test_only_a_run_with_records_holds_its_world(self, mechanism_name):
+        # T = 5k rounds of 10 agents at d = 30: an 11.4 MiB world of float64 contexts.
+        rng = np.random.default_rng(4)
+        embedded = PreparedDataset(
+            contexts_pool=rng.random((2000, 30)), label_matrix=rng.integers(0, 2, (2000, 6)),
+            pca_components=30, meta={"pca_components": 30},
+        )
+        config = self.toxic_config(
+            horizon=5000, n_agents=10, pca_components=30, mechanism=mechanism_name
+        )
+        world_bytes = 5000 * 10 * 30 * 8
+        peaks = {}
+        for keep_records in (False, True):
+            experiment._TWIN.clear()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run_single(config, 0, embedded, keep_records=keep_records)
+                peaks[keep_records] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] < world_bytes / 2
+        assert peaks[True] > world_bytes
