@@ -99,7 +99,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 def _load_examples_if_needed(config: ExperimentConfig):
     if config.data_source != "csv":
         return None
-    return prepare_dataset(load_examples(config.data_path), config.pca_components)
+    examples = load_examples(config.data_path)
+    try:
+        return prepare_dataset(examples, config.pca_components)
+    except ConvergenceError as exc:
+        prefix = f"{config.data_path}: PCA to {config.pca_components} components"
+        raise ConvergenceError(f"{prefix}: {exc}", exc.residual) from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import repeat
@@ -156,7 +157,7 @@ class PcaModel:
             raise ValueError("explained variances must be non-increasing")
 
 
-def _orthonormal_filler(basis: list[np.ndarray], dim: int) -> np.ndarray:
+def _orthonormal_filler(basis: np.ndarray, dim: int) -> np.ndarray:
     # Deterministic unit vector orthogonal to everything found so far; used
     # when the deflated matrix is (numerically) zero and any completion of
     # the basis is equally valid.
@@ -188,11 +189,12 @@ def pca_fit(
     """Fit principal components by power iteration with deflation.
 
     Components are extracted one at a time from the sample covariance
-    (``ddof=1``); each converged component is deflated out and iterates are
-    re-orthogonalized against earlier components to stop numerical drift.
-    The sign convention makes each component's first non-zero coordinate
-    positive. Raises :class:`ConvergenceError` (with the final residual) if
-    an iterate is still moving after ``max_iter`` steps.
+    (``ddof=1``); each converged component is deflated out. To stop numerical
+    drift, every step re-orthogonalizes the iterate against all earlier
+    components at once: one classical Gram–Schmidt pass through their stacked
+    rows. The sign convention makes each component's first non-zero
+    coordinate positive. Raises :class:`ConvergenceError` (with the final
+    residual) if an iterate is still moving after ``max_iter`` steps.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -210,29 +212,30 @@ def pca_fit(
     scale = max(1.0, float(np.trace(working)))
     rng = np.random.Generator(np.random.PCG64(_PCA_SEED))
 
-    basis: list[np.ndarray] = []
+    basis = np.empty((n_components, dim))
     variances = np.empty(n_components)
     for j in range(n_components):
+        earlier = basis[:j]
         vector = rng.standard_normal(dim)
-        for other in basis:
+        for other in earlier:
             vector -= (other @ vector) * other
         norm = np.linalg.norm(vector)
-        vector = _orthonormal_filler(basis, dim) if norm < 1e-12 else vector / norm
+        vector = _orthonormal_filler(earlier, dim) if norm < 1e-12 else vector / norm
         converged = False
         residual = np.inf
         for _ in range(max_iter):
             image = working @ vector
-            for other in basis:
-                image -= (other @ image) * other
-            image_norm = np.linalg.norm(image)
+            image -= earlier.T @ (earlier @ image)
+            image_norm = math.sqrt(image @ image)
             if image_norm <= 1e-15 * scale:
                 # Deflated matrix annihilates the iterate: zero eigenvalue.
-                vector = _orthonormal_filler(basis, dim)
+                vector = _orthonormal_filler(earlier, dim)
                 variances[j] = 0.0
                 converged = True
                 break
             image /= image_norm
-            residual = float(np.linalg.norm(image - vector))
+            step = image - vector
+            residual = math.sqrt(step @ step)
             vector = image
             if residual < tol:
                 variances[j] = float(vector @ working @ vector)
@@ -244,7 +247,7 @@ def pca_fit(
                 f"(residual {residual:.3e})",
                 residual,
             )
-        basis.append(vector)
+        basis[j] = vector
         working = working - variances[j] * (vector[:, None] * vector[None, :])
 
     components = np.array([_fix_sign(v) for v in basis])

@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's own code paths: the Jacobi
-eigensolver checks the power-iteration PCA, the dense least-squares solver
+eigensolver checks the power-iteration PCA's variances, the per-component
+power iteration checks its steps, the dense least-squares solver
 checks the incremental sufficient-statistics fit, and the per-round loops
 check the engine that plays frozen rounds in batches, from a table of the
 models its training rounds left, and the baselines that decide a whole run in
@@ -12,6 +13,7 @@ import numpy as np
 
 from feedauction.agents import Strategy, report
 from feedauction.core import derive_stream
+from feedauction.dataio import ConvergenceError
 from feedauction.mechanism import (
     MechanismState,
     exploration_rate,
@@ -41,6 +43,62 @@ def jacobi_eigenvalues(matrix: np.ndarray, sweeps: int = 100, tol: float = 1e-13
                 rotation[q, p] = -s
                 a = rotation.T @ a @ rotation
     return np.sort(np.diag(a))[::-1]
+
+
+def power_iteration_reference(
+    data: np.ndarray, n_components: int, *, tol: float = 1e-9, max_iter: int = 10_000
+) -> tuple[np.ndarray, np.ndarray]:
+    """Principal components and variances by power iteration with deflation.
+
+    The same iteration as ``pca_fit``, from the same start vectors, but each
+    step re-orthogonalizes against the earlier components one at a time
+    (modified Gram-Schmidt). Raises ``ConvergenceError`` naming the component
+    whose iterate is still moving after ``max_iter`` steps.
+    """
+    centered = data - data.mean(axis=0)
+    working = centered.T @ centered / (data.shape[0] - 1)
+    dim = working.shape[0]
+    scale = max(1.0, float(np.trace(working)))
+    rng = np.random.Generator(np.random.PCG64(0x5CA1AB1E))
+
+    def orthogonalize(basis, vector):
+        for other in basis:
+            vector = vector - (other @ vector) * other
+        return vector
+
+    def filler(basis):
+        # First coordinate axis with a part outside the basis, normalized.
+        for axis in np.eye(dim):
+            rest = orthogonalize(basis, axis)
+            if np.linalg.norm(rest) > 1e-9:
+                return rest / np.linalg.norm(rest)
+        raise AssertionError("basis is complete")
+
+    basis, variances = [], []
+    for j in range(n_components):
+        vector = orthogonalize(basis, rng.standard_normal(dim))
+        norm = np.linalg.norm(vector)
+        vector = filler(basis) if norm < 1e-12 else vector / norm
+        for _ in range(max_iter):
+            image = working @ vector
+            for other in basis:
+                image -= (other @ image) * other
+            if np.linalg.norm(image) <= 1e-15 * scale:
+                vector, variance = filler(basis), 0.0
+                break
+            image /= np.linalg.norm(image)
+            residual = np.linalg.norm(image - vector)
+            vector = image
+            if residual < tol:
+                variance = float(vector @ working @ vector)
+                break
+        else:
+            raise ConvergenceError(f"component {j} did not converge", residual)
+        basis.append(vector)
+        variances.append(variance)
+        working = working - variance * np.outer(vector, vector)
+    components = np.array([v if v[np.abs(v) > 1e-12][0] > 0 else -v for v in basis])
+    return components, np.minimum.accumulate(np.maximum(variances, 0.0))
 
 
 def dense_ridge_solve(design: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:

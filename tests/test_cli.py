@@ -174,6 +174,36 @@ class TestGenDataAndCsvRuns:
         assert main(["run", "--config", config]) == 3
         assert capsys.readouterr().err.startswith("error [data]")
 
+    @pytest.fixture(scope="class")
+    def unconverging_corpus(self, tmp_path_factory):
+        # Power iteration to 30 components stalls at component 13 on this corpus.
+        corpus = tmp_path_factory.mktemp("corpus") / "seed3.csv"
+        assert main(["gen-data", "--out", str(corpus), "--seed", "3"]) == 0
+        return corpus
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run"], ["paired-deviation", "--agent", "0", "--strategy", "always_high"]],
+        ids=["run", "paired-deviation"],
+    )
+    def test_pca_failure_names_the_corpus_and_exits_3(
+        self, tmp_path, capsys, unconverging_corpus, command
+    ):
+        config = small_config(
+            tmp_path,
+            tmp_path / "runs",
+            **{
+                "data.source": "csv",
+                "data.path": str(unconverging_corpus),
+                "data.pca_components": 30,
+            },
+        )
+        assert main([command[0], "--config", config, *command[1:]]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error [data] {unconverging_corpus}: PCA to 30 components: "
+            "component 13 did not converge within 10000 iterations (residual "
+        )
+
 
 class TestPairedDeviationCommand:
     def test_prints_profit_summary_and_csv(self, tmp_path, capsys):

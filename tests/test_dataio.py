@@ -1,11 +1,18 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import feedauction
+from feedauction import dataio
 from feedauction.config import ExperimentConfig
 from feedauction.core import ConfigurationError, DimensionMismatchError
 from feedauction.dataio import (
+    ConvergenceError,
     FeatureScaler,
     ParseError,
     PcaModel,
@@ -20,7 +27,7 @@ from feedauction.dataio import (
 from feedauction.experiment import run_metadata, run_single
 from feedauction.metrics import build_series
 
-from helpers import jacobi_eigenvalues
+from helpers import jacobi_eigenvalues, power_iteration_reference
 
 
 def write_csv(path, text):
@@ -169,6 +176,85 @@ class TestPca:
                 components=np.eye(2),
                 explained_variance=np.array([1.0, 2.0]),
             )
+
+
+
+# Hashes the 2,000 x 60 -> 30 fit of the benchmark's corpus shape, in a child
+# process whose BLAS thread count is set before numpy loads.
+_HASH_WORKLOAD_FIT = """
+import hashlib
+import numpy as np
+from feedauction.dataio import generate_synthetic_dataset, pca_fit
+features = np.stack([example.features for example in generate_synthetic_dataset(2000, 60, 0)])
+model = pca_fit(features, 30)
+print(hashlib.sha256(model.components.tobytes() + model.explained_variance.tobytes()).hexdigest())
+"""
+
+
+class TestPcaAgainstReference:
+    """``pca_fit`` against the per-component power iteration in ``helpers``."""
+
+    @pytest.mark.parametrize("n_samples, dim, n_components", [(50, 6, 6), (200, 12, 8), (400, 30, 15)])
+    def test_matches_the_reference(self, n_samples, dim, n_components):
+        rng = np.random.Generator(np.random.PCG64(7))
+        data = rng.standard_normal((n_samples, dim)) * np.geomspace(4.0, 0.5, dim)
+        model = pca_fit(data, n_components)
+        components, variances = power_iteration_reference(data, n_components)
+        np.testing.assert_allclose(model.components, components, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.explained_variance, variances, rtol=0, atol=1e-12)
+
+    def test_rank_deficient_input_takes_the_filler_path(self, monkeypatch):
+        filled = []
+        filler = dataio._orthonormal_filler
+
+        def spy(basis, dim):
+            filled.append(len(basis))
+            return filler(basis, dim)
+
+        monkeypatch.setattr(dataio, "_orthonormal_filler", spy)
+        rng = np.random.Generator(np.random.PCG64(8))
+        base = rng.standard_normal((40, 3))
+        data = np.hstack([base, base @ rng.standard_normal((3, 3))])  # rank 3 of 6
+        model = pca_fit(data, 6)
+        assert filled == [3, 4, 5]
+        components, variances = power_iteration_reference(data, 6)
+        np.testing.assert_allclose(model.components, components, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(model.explained_variance[3:], 0.0)
+        np.testing.assert_allclose(model.explained_variance, variances, rtol=0, atol=1e-12)
+
+    def test_small_budget_fails_at_the_same_component(self):
+        rng = np.random.Generator(np.random.PCG64(21))
+        data = rng.standard_normal((300, 8)) * np.array([6.0, 4.0, 2.5, 1.0, 0.95, 0.5, 0.3, 0.2])
+        with pytest.raises(ConvergenceError, match=r"^component 3 did not converge within 100 "):
+            pca_fit(data, 6, max_iter=100)
+        with pytest.raises(ConvergenceError, match=r"^component 3 did not converge"):
+            power_iteration_reference(data, 6, max_iter=100)
+
+    def test_workload_shape_is_orthonormal_and_matches_eigvalsh(self):
+        features = np.stack([e.features for e in generate_synthetic_dataset(2000, 60, 0)])
+        model = pca_fit(features, 30)
+        np.testing.assert_allclose(
+            model.components @ model.components.T, np.eye(30), rtol=0, atol=1e-12
+        )
+        expected = np.linalg.eigvalsh(np.cov(features, rowvar=False, ddof=1))[::-1][:30]
+        np.testing.assert_allclose(model.explained_variance, expected, rtol=0, atol=1e-9)
+
+    def test_fit_does_not_depend_on_blas_threads(self):
+        src = str(Path(feedauction.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", _HASH_WORKLOAD_FIT],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for threads in ("1", "2")
+        ]
+        hashes = [child.communicate(timeout=120)[0].strip() for child in children]
+        assert [child.returncode for child in children] == [0, 0]
+        assert len(hashes[0]) == 64
+        assert hashes[0] == hashes[1]
 
 
 class TestFeatureScaler:
