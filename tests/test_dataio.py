@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import feedauction
 from feedauction import dataio
 from feedauction.config import ExperimentConfig
 from feedauction.core import ConfigurationError, DimensionMismatchError
@@ -240,7 +239,7 @@ class TestPcaAgainstReference:
         np.testing.assert_allclose(model.explained_variance, expected, rtol=0, atol=1e-9)
 
     def test_fit_does_not_depend_on_blas_threads(self):
-        src = str(Path(feedauction.__file__).resolve().parents[1])
+        src = str(Path(dataio.__file__).resolve().parents[2])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         children = [
             subprocess.Popen(
