@@ -100,11 +100,13 @@ def _load_examples_if_needed(config: ExperimentConfig):
     if config.data_source != "csv":
         return None
     examples = load_examples(config.data_path)
+    prefix = f"{config.data_path}: PCA to {config.pca_components} components"
     try:
         return prepare_dataset(examples, config.pca_components)
     except ConvergenceError as exc:
-        prefix = f"{config.data_path}: PCA to {config.pca_components} components"
         raise ConvergenceError(f"{prefix}: {exc}", exc.residual) from None
+    except DataError as exc:
+        raise DataError(f"{prefix}: {exc}") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -11,7 +11,9 @@ truth and its metric increments. Keys are sorted and floats serialized with
 
 Dimensionality reduction is principal components via power iteration with
 deflation, which keeps the dependency surface small and the arithmetic easy
-to cross-check against a dense eigensolver.
+to cross-check against a dense eigensolver. The iteration runs in blocks of
+steps: one matrix-vector product per step, then one pass of whole-array
+arithmetic per block finds the step at which the step-by-step loop stops.
 """
 
 from __future__ import annotations
@@ -140,6 +142,13 @@ def write_examples(path: str | Path, examples: Iterable[LabeledExample]) -> None
 # Fixed internal seed for power-iteration start vectors: fitting the same
 # matrix always walks the same path, with no caller-visible RNG state.
 _PCA_SEED = 0x5CA1AB1E
+# Power-iteration steps taken per block: one matrix-vector product each, then
+# the block's norms, tests and residuals as whole arrays.
+_BLOCK_STEPS = 64
+# Iterates below this norm are near the end of the normal range, where their
+# entries would lose precision; a block is cut before one, and the next block
+# restarts from the last iterate before the cut, normalized.
+_BLOCK_FLOOR = 2.0**-900
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +181,10 @@ def _orthonormal_filler(basis: np.ndarray, dim: int) -> np.ndarray:
     raise RuntimeError("could not complete orthonormal basis")
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
 def _fix_sign(vector: np.ndarray) -> np.ndarray:
     for value in vector:
         if abs(value) > 1e-12:
@@ -189,12 +202,20 @@ def pca_fit(
     """Fit principal components by power iteration with deflation.
 
     Components are extracted one at a time from the sample covariance
-    (``ddof=1``); each converged component is deflated out. To stop numerical
-    drift, every step re-orthogonalizes the iterate against all earlier
-    components at once: one classical Gram–Schmidt pass through their stacked
-    rows. The sign convention makes each component's first non-zero
-    coordinate positive. Raises :class:`ConvergenceError` (with the final
-    residual) if an iterate is still moving after ``max_iter`` steps.
+    (``ddof=1``); each converged component is deflated out, and every step
+    projects all earlier components off the iterate to stop numerical drift.
+    Each component's step operator (the deflated covariance with the earlier
+    components projected off) is built once and scaled by an exact power of
+    two so that no iterate can overflow. The iterate then advances in blocks
+    of ``_BLOCK_STEPS`` steps, one matrix-vector product each; a block's
+    norms, zero-eigenvalue tests, normalized iterates and residuals are taken
+    as whole arrays, and the fit stops at the first step where a
+    step-by-step loop would. The start vectors, the filler for a zero
+    eigenvalue, ``tol``, the ``max_iter`` budget counted in steps, the
+    variance formula and the order check are those of that loop. The sign
+    convention makes each component's first non-zero coordinate positive.
+    Raises :class:`ConvergenceError` (with the final residual) if an iterate
+    is still moving after ``max_iter`` steps.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -214,6 +235,7 @@ def pca_fit(
 
     basis = np.empty((n_components, dim))
     variances = np.empty(n_components)
+    rows = np.empty((_BLOCK_STEPS + 1, dim))
     for j in range(n_components):
         earlier = basis[:j]
         vector = rng.standard_normal(dim)
@@ -221,32 +243,47 @@ def pca_fit(
             vector -= (other @ vector) * other
         norm = np.linalg.norm(vector)
         vector = _orthonormal_filler(earlier, dim) if norm < 1e-12 else vector / norm
-        converged = False
+        # Scaled by 2**-shift, at least its Frobenius norm, the operator
+        # shrinks every iterate; the zero-eigenvalue test undoes the scaling.
+        step = working - earlier.T @ (earlier @ working)
+        shift = math.frexp(float(np.linalg.norm(step)))[1]
+        advance = np.ldexp(step, -shift).dot
+        variance = None
         residual = np.inf
-        for _ in range(max_iter):
-            image = working @ vector
-            image -= earlier.T @ (earlier @ image)
-            image_norm = math.sqrt(image @ image)
-            if image_norm <= 1e-15 * scale:
-                # Deflated matrix annihilates the iterate: zero eigenvalue.
+        taken = 0
+        while variance is None and taken < max_iter:
+            length = min(_BLOCK_STEPS, max_iter - taken)
+            rows[0] = vector
+            for i in range(length):
+                advance(rows[i], out=rows[i + 1])
+            norms = _row_norms(rows[: length + 1])
+            # The block is cut at its first zero step (an image norm of at
+            # most 1e-15 * scale, unscaled) or where an iterate falls below
+            # the floor; its first step is always kept, so it makes progress.
+            zero = np.ldexp(norms[1:], shift) <= 1e-15 * scale * norms[:-1]
+            tiny = norms[1:] < _BLOCK_FLOOR
+            tiny[0] = False
+            cut = int(np.argmax(np.append(zero | tiny, True)))
+            units = rows[: cut + 1] / norms[: cut + 1, None]
+            residuals = _row_norms(units[1:] - units[:-1])
+            settled = np.flatnonzero(residuals < tol)
+            if settled.size:
+                vector = units[settled[0] + 1]
+                variance = float(vector @ working @ vector)
+            elif cut < length and zero[cut]:
                 vector = _orthonormal_filler(earlier, dim)
-                variances[j] = 0.0
-                converged = True
-                break
-            image /= image_norm
-            step = image - vector
-            residual = math.sqrt(step @ step)
-            vector = image
-            if residual < tol:
-                variances[j] = float(vector @ working @ vector)
-                converged = True
-                break
-        if not converged:
+                variance = 0.0
+            else:
+                residual = float(residuals[-1])
+                vector = units[cut]
+                taken += cut
+        if variance is None:
             raise ConvergenceError(
                 f"component {j} did not converge within {max_iter} iterations "
                 f"(residual {residual:.3e})",
                 residual,
             )
+        variances[j] = variance
         basis[j] = vector
         working = working - variances[j] * (vector[:, None] * vector[None, :])
 

@@ -172,7 +172,9 @@ class TestGenDataAndCsvRuns:
             **{"data.source": "csv", "data.path": str(corpus), "data.pca_components": 9},
         )
         assert main(["run", "--config", config]) == 3
-        assert capsys.readouterr().err.startswith("error [data]")
+        assert capsys.readouterr().err == (
+            f"error [data] {corpus}: PCA to 9 components: n_components must be in [1, 8], got 9\n"
+        )
 
     @pytest.fixture(scope="class")
     def unconverging_corpus(self, tmp_path_factory):

@@ -229,6 +229,92 @@ class TestPcaAgainstReference:
         with pytest.raises(ConvergenceError, match=r"^component 3 did not converge"):
             power_iteration_reference(data, 6, max_iter=100)
 
+    @pytest.mark.parametrize("mix", [True, False], ids=["rank-2-mixed", "one-axis"])
+    def test_zero_step_cuts_its_block(self, mix):
+        # After a zero step its block still holds the later iterates; the
+        # one-axis corpus deflates to an exactly zero matrix, so they are
+        # exact zeros. With RuntimeWarning an error, dividing any of them by
+        # its norm fails the test.
+        rng = np.random.Generator(np.random.PCG64(9))
+        if mix:
+            base = rng.standard_normal((40, 2))
+            data = np.hstack([base, base @ rng.standard_normal((2, 4))])
+        else:
+            data = np.zeros((40, 6))
+            data[:, 1] = 3.0 * rng.standard_normal(40)
+        model = pca_fit(data, 6)
+        components, variances = power_iteration_reference(data, 6)
+        np.testing.assert_allclose(model.components, components, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.explained_variance, variances, rtol=0, atol=1e-12)
+        assert np.count_nonzero(model.explained_variance) == (2 if mix else 1)
+
+    @pytest.mark.parametrize("edge", ["last", "first"])
+    def test_converges_on_a_block_edge(self, edge):
+        # Step ``k`` (1-based) is the last of the first block; ``k + 1`` the
+        # first of the second. ``tol`` is set between the reference's
+        # residuals around the chosen step, so the fit stops exactly there.
+        k = dataio._BLOCK_STEPS
+        stop = k if edge == "last" else k + 1
+        rng = np.random.Generator(np.random.PCG64(31))
+        data = rng.standard_normal((300, 5)) * np.array([3.0, 2.5, 1.5, 1.0, 0.5])
+
+        def residual_after(steps):
+            with pytest.raises(ConvergenceError) as failure:
+                power_iteration_reference(data, 1, tol=0.0, max_iter=steps)
+            return failure.value.residual
+
+        tol = np.sqrt(residual_after(stop - 1) * residual_after(stop))
+        with pytest.raises(ConvergenceError, match=r"^component 0 "):
+            pca_fit(data, 1, tol=tol, max_iter=stop - 1)
+        model = pca_fit(data, 3, tol=tol, max_iter=stop)
+        components, variances = power_iteration_reference(data, 3, tol=tol, max_iter=stop)
+        np.testing.assert_allclose(model.components, components, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.explained_variance, variances, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("floor", [None, 2.0**-4], ids=["default-floor", "raised-floor"])
+    @pytest.mark.parametrize("max_iter", [45, 100, 141])
+    def test_budget_off_the_block_grid_fails_like_the_reference(self, monkeypatch, max_iter, floor):
+        # A raised floor cuts most blocks after a few steps, so the budget
+        # is also counted across blocks that restart from a cut.
+        if floor is not None:
+            monkeypatch.setattr(dataio, "_BLOCK_FLOOR", floor)
+        assert max_iter % dataio._BLOCK_STEPS
+        rng = np.random.Generator(np.random.PCG64(21))
+        data = rng.standard_normal((300, 8)) * np.array([6.0, 4.0, 2.5, 1.0, 0.95, 0.5, 0.3, 0.2])
+        with pytest.raises(ConvergenceError) as fit:
+            pca_fit(data, 6, max_iter=max_iter)
+        with pytest.raises(ConvergenceError) as reference:
+            power_iteration_reference(data, 6, max_iter=max_iter)
+        component = str(reference.value).split(" did not")[0]
+        assert str(fit.value).startswith(f"{component} did not converge within {max_iter} ")
+        assert fit.value.residual == pytest.approx(reference.value.residual, rel=1e-12)
+
+    def test_blocks_cut_at_the_floor_still_follow_the_reference(self, monkeypatch):
+        # Raised, the floor cuts most blocks after a few steps, and each cut
+        # block's successor restarts from the last iterate before the cut.
+        monkeypatch.setattr(dataio, "_BLOCK_FLOOR", 2.0**-4)
+        rng = np.random.Generator(np.random.PCG64(7))
+        data = rng.standard_normal((400, 30)) * np.geomspace(4.0, 0.5, 30)
+        model = pca_fit(data, 15)
+        components, variances = power_iteration_reference(data, 15)
+        np.testing.assert_allclose(model.components, components, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.explained_variance, variances, rtol=0, atol=1e-12)
+
+    def test_power_of_two_scaling_is_exact(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        data = rng.standard_normal((400, 30)) * np.geomspace(4.0, 0.5, 30)
+        model, scaled = pca_fit(data, 15), pca_fit(data * 2.0**100, 15)
+        np.testing.assert_array_equal(scaled.components, model.components)
+        np.testing.assert_array_equal(scaled.explained_variance, model.explained_variance * 2.0**200)
+
+    def test_variances_spanning_twelve_decades_match_the_reference(self):
+        rng = np.random.Generator(np.random.PCG64(12))
+        data = rng.standard_normal((400, 12)) * np.geomspace(1.0, 1e-6, 12)
+        model = pca_fit(data, 12)
+        components, variances = power_iteration_reference(data, 12)
+        np.testing.assert_allclose(model.components, components, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.explained_variance, variances, rtol=0, atol=1e-12)
+
     def test_workload_shape_is_orthonormal_and_matches_eigvalsh(self):
         features = np.stack([e.features for e in generate_synthetic_dataset(2000, 60, 0)])
         model = pca_fit(features, 30)
