@@ -36,15 +36,15 @@ def direct_regression_round(
     state: MechanismState,
     contexts: np.ndarray,
     oracle: RoundOracle,
-    draw: tuple[int, float] | None,
+    draw: tuple[int, float],
 ) -> RoundRecord:
-    """One round of the exact-value regression baseline.
+    """One explored round of the exact-value regression baseline.
 
     Identical to the feedback mechanism's round in every pre- and
     post-condition except that model training targets the realized utility
     rather than the binary report, which :func:`run_round` does exactly when
     the state's config names this mechanism. ``draw`` is the round's
-    exploration draw, or ``None`` on exploitation, as for ``run_round``.
+    exploration draw, as for ``run_round``.
     """
     if state.config.mechanism != "direct_regression":
         raise ConfigurationError(

@@ -21,7 +21,7 @@ from typing import Any
 
 from .agents import NOISE_KINDS, Strategy
 from .core import ConfigurationError
-from .mechanism import SCHEDULE_KINDS, TRAINING_POLICIES, parse_price_distribution
+from .mechanism import SCHEDULE_KINDS, parse_price_distribution
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_flat_text"]
 
@@ -45,7 +45,6 @@ class ExperimentConfig:
     epsilon: float = 0.05
     eta_constant: float = 0.1
     floor_rounds: int = 3
-    training_policy: str = "exploration_only"
     price_distribution: str = "uniform"
     noise_kind: str = "truncated_uniform"
     noise_width: float = 0.2
@@ -92,8 +91,6 @@ class ExperimentConfig:
             raise ConfigError(f"schedule.eta must be in (0, 1], got {self.eta_constant}")
         if self.floor_rounds < 1:
             raise ConfigError(f"schedule.floor_rounds must be >= 1, got {self.floor_rounds}")
-        if self.training_policy not in TRAINING_POLICIES:
-            raise ConfigError(f"unknown training.policy {self.training_policy!r}")
         try:
             parse_price_distribution(self.price_distribution)
         except ConfigurationError as exc:
@@ -186,7 +183,6 @@ _KEY_SPECS: dict[str, tuple[str, Any]] = {
     "schedule.epsilon": ("epsilon", float),
     "schedule.eta": ("eta_constant", float),
     "schedule.floor_rounds": ("floor_rounds", int),
-    "training.policy": ("training_policy", str),
     "exploration.price_distribution": ("price_distribution", str),
     "data.source": ("data_source", str),
     "data.path": ("data_path", _as_optional_str),

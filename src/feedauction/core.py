@@ -96,14 +96,14 @@ def derive_stream(master_seed: int, name: str) -> RngStream:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one auction round decided: winner, price, report and payment.
+    """What one training round decided: its winner and the winner's report.
 
-    Ground truth (realized utilities, oracle prices) never passes through a
-    round; the driver keeps it in the run's columns.
+    ``explored`` is always true, since only explored rounds train; the
+    benchmark's layer map counts explored rounds by it. Ground truth
+    (realized utilities, oracle prices) never passes through a round; the
+    driver keeps it in the run's columns.
     """
 
     allocated_agent: int
     explored: bool
-    comparison_price: float
     report: bool
-    payment: float

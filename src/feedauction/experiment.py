@@ -50,10 +50,10 @@ class RunResult:
     ``contexts``, the world's (rounds, agents, dim) array, is needed only by
     the ledger; it is ``None`` for runs made with ``keep_records=False``. A
     csv world is gathered into it from its pool only for a run with records.
-    A deviant ``exploration_only`` arm's ``true_means``, ``utilities``,
-    ``oracle_second_prices``, ``explored`` and ``eta`` are its truthful
-    twin's, shared by every arm of that twin and read-only; its other
-    columns are its own.
+    A deviant learned arm's ``true_means``, ``utilities``,
+    ``oracle_second_prices``, ``explored`` and ``eta`` are its truthful twin's,
+    shared by every arm of that twin and read-only; its other columns are its
+    own.
     """
 
     config: ExperimentConfig
@@ -83,7 +83,7 @@ _TRUTHFUL = Strategy()
 # bounds the size of one block's gathered contexts and models.
 _BLOCK_ROUNDS = 256
 
-# The last truthful exploration_only learned run made without records, for its deviant arms:
+# The last truthful learned run made without records, for its deviant arms:
 # read-only copies of its _SHARED columns, its draws, models and contexts (a csv world's pool
 # and draw index, not a gathered world). Every deviant arm returns these columns themselves,
 # but for "estimates", which it copies and writes. The first arm narrows the contexts to its
@@ -102,9 +102,9 @@ class _PopulationOracle:
     per-round mechanism call, and asks the winners of all the frozen rounds
     with one ``compare_stretch``. Only the ``random`` reporting strategy
     consumes stream randomness, so truthful populations keep the deviant's
-    report stream untouched. The engine asks a deviant only under
-    ``all_allocations``, every round in order, and such a run has no frozen
-    round.
+    report stream untouched. Only a truthful population plays training
+    rounds, so ``compare`` answers truthfully: a learned run with a deviant
+    is its twin's replay.
     """
 
     __slots__ = ("deviant", "strategy", "report_stream", "utilities_now")
@@ -118,10 +118,7 @@ class _PopulationOracle:
         self.utilities_now: np.ndarray | None = None
 
     def compare(self, agent: int, price: float) -> bool:
-        utility = float(self.utilities_now[agent])
-        if agent == self.deviant:
-            return report(self.strategy, utility, price, self.report_stream)
-        return report(_TRUTHFUL, utility, price)
+        return report(_TRUTHFUL, float(self.utilities_now[agent]), price)
 
     def compare_stretch(
         self, utilities: np.ndarray, winners: np.ndarray, prices: np.ndarray
@@ -276,9 +273,8 @@ def run_single(
     run_seed = derive_seed(config.master_seed, f"run/{seed_index}")
     horizon, n_agents = config.horizon, config.n_agents
     learned = config.mechanism in ("feedback", "direct_regression")
-    exploration_only = config.training_policy == "exploration_only"
     deviant = config.deviant_index
-    if learned and exploration_only and deviant is not None:
+    if learned and deviant is not None:
         twin_config = config.replace(deviant_index=None, deviant_strategy="truthful")
         key = (twin_config, seed_index, id(prepared))  # the cache holds prepared: ids stay unique
         if keep_records or _TWIN.get("key") != key or _TWIN.get("agent") not in (None, deviant):
@@ -319,24 +315,19 @@ def run_single(
         drawn_winners, drawn_prices = _explore(state, int(explored.sum()))
         allocated[explored], comparison_prices[explored] = drawn_winners, drawn_prices
         payments[explored] = 0.0
-        draws = iter(zip(drawn_winners.tolist(), drawn_prices.tolist()))
-        trains = explored if exploration_only else np.ones(horizon, bool)
-        training, frozen = np.flatnonzero(trains), np.flatnonzero(~trains)
-        # A training round changes only its winner's model. Row i of the
+        draws = zip(drawn_winners.tolist(), drawn_prices.tolist())
+        training, frozen = np.flatnonzero(explored), np.flatnonzero(~explored)
+        # An explored round trains only its winner's model. Row i of the
         # table is that model as training round i left it; the last row, never
         # ready, is the prior.
         kept = np.zeros((training.size + 1, contexts.shape[2]))
         kept_ready = np.zeros(training.size + 1, dtype=bool)
-        for i, ti in enumerate(training.tolist()):
-            draw = next(draws) if explored[ti] else None
+        for i, (ti, draw) in enumerate(zip(training.tolist(), draws)):
             oracle.utilities_now = utilities[ti]
             record = learned_round(state, contexts[ti], oracle, draw)
             reports[ti] = record.report
             estimates[ti] = state.last_estimates
             winner = record.allocated_agent
-            if draw is None:  # an exploitation round that trains (all_allocations)
-                allocated[ti] = winner
-                payments[ti] = comparison_prices[ti] = record.payment
             kept[i], kept_ready[i] = state.coefficients[winner], state.ready[winner]
         # A frozen round reads each agent's model from the agent's last
         # training round before it, or the prior's row (-1) until it has one.
@@ -386,7 +377,7 @@ def run_single(
         scaler_meta=scaler_meta,
         final_models=final_models,
     )
-    if learned and exploration_only and deviant is None and not keep_records:  # a twin
+    if learned and not keep_records:  # a twin; a learned run with a deviant returned above
         _TWIN.update(
             key=(config, seed_index, id(prepared)), prepared=prepared, models=state.models,
             contexts=contexts, winners=drawn_winners, prices=drawn_prices,
@@ -404,7 +395,7 @@ def _model_records(models: list[ValueModel]) -> list[dict[str, Any]]:
 def _deviant_arm(
     config: ExperimentConfig, seed_index: int, run_seed: int, keep_records: bool
 ) -> RunResult:
-    """A deviant ``exploration_only`` arm: its truthful twin with the deviant's model replayed.
+    """A deviant learned arm: its truthful twin with the deviant's model replayed.
 
     Only the deviant's model differs from the twin's; round t reads the model left by the
     deviant's last explored win (event) before t. Every frozen round is an auction of the

@@ -4,21 +4,21 @@ Each round the mechanism explores with the schedule's exploration rate. On
 exploration it allocates uniformly at random for free and asks the winner to
 compare its utility against a uniform random price; on exploitation it
 allocates to the agent with the highest estimated value and charges the
-runner-up estimate, which doubles as the comparison price. Reports from
-exploration rounds feed each agent's value model (optionally reports from all
-rounds, though non-uniform exploitation prices bias the identification).
+runner-up estimate, which doubles as the comparison price. Only reports from
+exploration rounds feed the agents' value models: with a uniform price, the
+chance of a yes is the expected utility, which identifies the value.
 
 Nothing about exploration depends on the models: the coins, and the winner
 and price of every explored round, come from the schedule and the agent and
 price streams, so a run draws all of them before its first round. A model
-changes only in a round that trains it, so every other round is a
-second-price auction on frozen models. :func:`run_round` plays one round,
-training round or not, given its exploration draw or ``None``;
-:func:`exploit_stretch` plays many frozen rounds at once, from the stacked
-coefficients the state keeps next to its models or, one set per round, from
-the models that earlier training rounds left. The uniform baseline is this
-mechanism at exploration rate 1 and makes the same exploration draw, for all
-of a run's rounds at once.
+changes only in an explored round, so every other round is a second-price
+auction on frozen models. :func:`run_round` plays one explored round, given
+its exploration draw, and trains its winner's model; :func:`exploit_stretch`
+plays many frozen rounds at once, from the stacked coefficients the state
+keeps next to its models or, one set per round, from the models that earlier
+explored rounds left. The uniform baseline is this mechanism at exploration
+rate 1 and makes the same exploration draw, for all of a run's rounds at
+once.
 
 The mechanism observes agents only through a :class:`RoundOracle`: a yes/no
 comparison query. Realized utilities never enter any allocation, payment, or
@@ -41,7 +41,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SCHEDULE_KINDS",
-    "TRAINING_POLICIES",
     "MechanismState",
     "RoundOracle",
     "exploit_stretch",
@@ -52,7 +51,6 @@ __all__ = [
 ]
 
 SCHEDULE_KINDS = ("slow", "fast", "constant")
-TRAINING_POLICIES = ("exploration_only", "all_allocations")
 
 
 def exploration_rate(config: ExperimentConfig, t):
@@ -157,10 +155,10 @@ class RoundOracle(Protocol):
 class MechanismState:
     """Mutable cross-round state: value models, stacked coefficients and RNG streams.
 
-    The schedule, training policy, training target and price rule are read
-    from ``config``. A run draws one coin per round from the coin stream, by
-    its schedule, and one winner and one price per exploration round from the
-    agent and price streams, all in one batch each before its first round.
+    The schedule, training target and price rule are read from ``config``.
+    A run draws one coin per round from the coin stream, by its schedule, and
+    one winner and one price per exploration round from the agent and price
+    streams, all in one batch each before its first round.
     Two runs sharing a master seed therefore stay aligned round for round
     even when their agents report differently. The uniform baseline draws
     every round's winner and price from the same two streams in one batch,
@@ -216,15 +214,11 @@ class MechanismState:
             self.ready[agent] = True
 
 
-def _explore(state: MechanismState, size: int | None = None):
-    # The exploration draw: uniformly random winners, then their comparison
-    # prices. One round gives (int, float); ``size`` rounds give two arrays,
-    # the values of as many one-round draws.
+def _explore(state: MechanismState, size: int) -> tuple[np.ndarray, np.ndarray]:
+    # The exploration draw of ``size`` rounds: uniformly random winners, then
+    # their comparison prices, the values of as many one-round draws.
     winners = state.agent_stream.integers(len(state.models), size=size)
     fixed = state._fixed_price
-    if size is None:
-        price = float(state.price_stream.random()) if fixed is None else fixed
-        return int(winners), price
     prices = state.price_stream.random(size) if fixed is None else np.full(size, fixed)
     return winners, prices
 
@@ -233,14 +227,14 @@ def run_round(
     state: MechanismState,
     contexts: np.ndarray,
     oracle: RoundOracle,
-    draw: tuple[int, float] | None,
+    draw: tuple[int, float],
 ) -> RoundRecord:
-    """Play one auction round, updating ``state`` in place.
+    """Play one explored round and train its winner's model, updating ``state`` in place.
 
     ``contexts`` is the (n_agents, dim) block of request features for this
     round. ``draw`` is the round's exploration draw, its ``(winner, price)``
-    from ``_explore``, or ``None`` when the run's schedule has it exploit.
-    Returns the round's decisions; ground truth stays with the caller.
+    from ``_explore``. Returns the round's decisions; ground truth stays with
+    the caller.
     """
     contexts = np.asarray(contexts, dtype=float)
     n_agents = len(state.models)
@@ -248,29 +242,15 @@ def run_round(
         raise DimensionMismatchError(
             f"contexts have shape {contexts.shape}, expected ({n_agents}, dim)"
         )
-    estimates = state.refresh_estimates(contexts)
-    config = state.config
-    explored = draw is not None
-    if explored:
-        winner, comparison = draw
-        payment = 0.0
+    state.refresh_estimates(contexts)
+    winner, price = draw
+    answer = bool(oracle.compare(winner, price))
+    if state.config.mechanism == "direct_regression":
+        target = float(oracle.utility(winner))
     else:
-        winner, price = second_price(estimates)
-        payment = comparison = price
-    answer = bool(oracle.compare(winner, comparison))
-    if explored or config.training_policy == "all_allocations":
-        if config.mechanism == "direct_regression":
-            target = float(oracle.utility(winner))
-        else:
-            target = float(answer)
-        state.train(winner, contexts[winner], target)
-    return RoundRecord(
-        allocated_agent=winner,
-        explored=explored,
-        comparison_price=comparison,
-        report=answer,
-        payment=payment,
-    )
+        target = float(answer)
+    state.train(winner, contexts[winner], target)
+    return RoundRecord(allocated_agent=winner, explored=True, report=answer)
 
 
 def exploit_stretch(

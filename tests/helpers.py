@@ -148,7 +148,7 @@ def per_round_reference(config, run):
         utility = float(utilities[ti, winner])
         strategy = deviant_strategy if winner == deviant else Strategy()
         answer = bool(report(strategy, utility, price, report_stream))
-        if explored or config.training_policy == "all_allocations":
+        if explored:
             target = utility if config.mechanism == "direct_regression" else float(answer)
             state.models[winner].ingest(contexts[ti, winner], target)
         row = (estimates, winner, payment, price, explored, answer, rate)

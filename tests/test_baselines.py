@@ -19,10 +19,16 @@ def coins(state, rounds):
     return exploration_schedule(state, rounds)[1]
 
 
+def explored_draws(state, rounds):
+    # Each explored round's (winner, price) among the first ``rounds``
+    # rounds, drawn in one batch as the driver draws them.
+    winners, prices = _explore(state, int(coins(state, rounds).sum()))
+    return list(zip(winners.tolist(), prices.tolist()))
+
+
 def first_round_draw(state):
     # Round 1 explores (its rate is floored at 1), so it gets a draw.
-    coin = coins(state, 1)[0]
-    return _explore(state) if coin else None
+    return explored_draws(state, 1)[0]
 
 
 class CountingOracle:
@@ -87,8 +93,8 @@ class TestDirectRegressionRound:
     def test_feedback_state_never_reads_utilities(self):
         state = new_state(2, 5)
         oracle = CountingOracle([0.73, 0.4])
-        for coin in coins(state, 40):
-            run_round(state, np.full((2, 2), 0.5), oracle, _explore(state) if coin else None)
+        for draw in explored_draws(state, 40):
+            run_round(state, np.full((2, 2), 0.5), oracle, draw)
         assert oracle.utility_calls == 0
 
 
@@ -119,24 +125,27 @@ class TestUniformRound:
         # With the exploration rate pinned at 1 and the same master seed, the
         # uniform baseline and the feedback mechanism allocate identically:
         # they share the agent and price substreams by name.
-        seed = 914
-        contexts = np.full((3, 2), 0.5)
-        oracle = CountingOracle([0.8, 0.5, 0.2])
+        base = dict(horizon=200, n_agents=3, dim=2, master_seed=914)
+        feedback = run_single(
+            ExperimentConfig(schedule_kind="constant", eta_constant=1.0, **base), 0
+        )
+        uniform = run_single(ExperimentConfig(mechanism="uniform", **base), 0)
+        assert feedback.explored.all()
+        for column in ("allocated", "comparison_prices", "payments", "reports"):
+            np.testing.assert_array_equal(getattr(feedback, column), getattr(uniform, column))
 
-        mech = new_state(3, seed, schedule_kind="constant", eta_constant=1.0)
-        records = [
-            run_round(mech, contexts, oracle, _explore(mech) if coin else None)
-            for coin in coins(mech, 200)
-        ]
-        uni = new_state(3, seed, mechanism="uniform")
+    def test_one_batch_draws_what_single_draws_would(self):
+        # The streams end where 200 single draws leave them, with their values.
+        uni, single = new_state(3, 914, mechanism="uniform"), new_state(3, 914, mechanism="uniform")
         winners, prices = uniform_round(uni, 200)
-        np.testing.assert_array_equal(winners, [r.allocated_agent for r in records])
-        np.testing.assert_array_equal(prices, [r.comparison_price for r in records])
-        # The streams end where 200 single draws leave them.
+        np.testing.assert_array_equal(
+            winners, [int(single.agent_stream.integers(3)) for _ in range(200)]
+        )
+        np.testing.assert_array_equal(prices, [single.price_stream.random() for _ in range(200)])
         for stream in ("agent_stream", "price_stream"):
             assert (
                 getattr(uni, stream).gen.bit_generator.state
-                == getattr(mech, stream).gen.bit_generator.state
+                == getattr(single, stream).gen.bit_generator.state
             )
 
 

@@ -94,6 +94,18 @@ class TestRunCommand:
         assert error.startswith("error [config]") and key in error
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate-config"])
+    def test_a_training_policy_key_exits_2(self, tmp_path, capsys, command):
+        # training.policy is no longer a config key, so a file that names it
+        # is refused like any unknown key.
+        out_dir = tmp_path / "runs"
+        config = small_config(tmp_path, out_dir, **{"training.policy": "exploration_only"})
+        assert main([command, "--config", config]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error [config]")
+        assert "unknown config keys: training.policy" in error
+        assert not out_dir.exists()
+
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 4
         assert capsys.readouterr().err.startswith("error [io]")
@@ -468,7 +480,7 @@ class TestValidateConfigCommand:
         assert lines[0] == "ok"
         assert "horizon = 200" in lines
         assert "schedule.kind = slow" in lines  # defaulted, still echoed
-        assert len(lines) == 20  # "ok" + every parameter a synthetic world reads
+        assert len(lines) == 19  # "ok" + every parameter a synthetic world reads
         assert not any(line.startswith("data.p") for line in lines)
 
     @pytest.mark.parametrize("source", ["synthetic", "csv"])

@@ -1,9 +1,17 @@
+import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from feedauction.config import _KEY_SPECS, ConfigError, ExperimentConfig, parse_flat_text
+from feedauction.config import (
+    _IGNORED_KEYS,
+    _KEY_SPECS,
+    ConfigError,
+    ExperimentConfig,
+    parse_flat_text,
+)
 
 CONFIG_KEY = {attr: key for key, (attr, _) in _KEY_SPECS.items()}
 
@@ -121,7 +129,6 @@ class TestValidate:
             dict(eta_constant=0.0),
             dict(eta_constant=1.5),
             dict(floor_rounds=0),
-            dict(training_policy="never"),
             dict(noise_kind="gaussian"),
             dict(noise_width=-1.0),
             dict(deviant_index=10),
@@ -200,7 +207,7 @@ class TestEcho:
     def test_covers_every_field_and_round_trips(self):
         config = ExperimentConfig.from_text(SAMPLE)
         echo = config.echo()
-        assert len(echo) == 21
+        assert len(echo) == 20
         # The echo lists every key, also those of the csv world, which a
         # synthetic config may not set.
         ignored = {"data.path", "data.pca_components"}
@@ -215,3 +222,33 @@ class TestEcho:
         assert other.horizon == 10
         assert config.horizon == 5000
         assert other is not config
+
+
+class TestReadmeConfigTable:
+    """README's config reference lists exactly the config's keys, defaults and worlds."""
+
+    @staticmethod
+    def rows():
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("### Config reference", 1)[1].splitlines()
+        first = next(i for i, line in enumerate(section) if line.startswith("| `"))
+        table = itertools.takewhile(lambda line: line.startswith("| `"), section[first:])
+        cells = [[cell.strip() for cell in line.split("|")[1:4]] for line in table]
+        return [(key.strip("`"), default.strip("`"), world) for key, default, world in cells]
+
+    def test_the_table_has_every_key_once(self):
+        assert sorted(key for key, _, _ in self.rows()) == sorted(_KEY_SPECS)
+
+    def test_defaults_match_the_default_config(self):
+        echo = ExperimentConfig().echo()
+        for key, default, _ in self.rows():
+            assert default == ("none" if echo[key] is None else str(echo[key])), key
+
+    def test_world_column_matches_the_ignored_keys(self):
+        for key, _, world in self.rows():
+            if key in _IGNORED_KEYS["csv"]:
+                assert world == "synthetic", key
+            elif key in _IGNORED_KEYS["synthetic"]:
+                assert world == "csv", key
+            else:
+                assert world == "any", key

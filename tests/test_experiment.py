@@ -178,27 +178,22 @@ class TestBatchedEngine:
     """The engine replays the per-round loop.
 
     It plays the frozen rounds in blocks, each agent read from the table row
-    of its last training round. So does a deviant ``exploration_only`` arm,
-    built from its truthful twin and a replay of the deviant's model.
+    of its last training round. So does a deviant arm, built from its
+    truthful twin and a replay of the deviant's model.
     """
 
     STRATEGIES = ("truthful", "always_high", "inverted", "random:0.5", "threshold_shift:-0.2")
 
     @pytest.mark.parametrize(
-        "mechanism_name, schedule_kind, policy, world",
+        "mechanism_name, schedule_kind, world",
         itertools.product(
-            ("feedback", "direct_regression"),
-            ("slow", "fast", "constant"),
-            ("exploration_only", "all_allocations"),
-            ("synthetic", "csv"),
+            ("feedback", "direct_regression"), ("slow", "fast", "constant"), ("synthetic", "csv")
         ),
     )
-    def test_matches_the_per_round_loop(
-        self, mechanism_name, schedule_kind, policy, world, prepared
-    ):
+    def test_matches_the_per_round_loop(self, mechanism_name, schedule_kind, world, prepared):
         base = ExperimentConfig(
             horizon=1500, n_agents=4, dim=3, mechanism=mechanism_name,
-            schedule_kind=schedule_kind, training_policy=policy, master_seed=61,
+            schedule_kind=schedule_kind, master_seed=61,
         )
         if world == "csv":
             base = base.replace(data_source="csv", data_path="corpus.csv", pca_components=4)
@@ -292,15 +287,11 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("strategy", ("random:0", "random:0.5", "random:1"))
     def test_random_deviants_answer_in_round_order(self, strategy):
-        # The deviant first, in the middle and last, under both policies and
-        # both price rules.
-        for deviant, policy, price in itertools.product(
-            (0, 2, 3), ("exploration_only", "all_allocations"), ("uniform", "fixed:0.4")
-        ):
+        # The deviant first, in the middle and last, under both price rules.
+        for deviant, price in itertools.product((0, 2, 3), ("uniform", "fixed:0.4")):
             self.assert_replays(
                 self.block_config(
-                    deviant_index=deviant, deviant_strategy=strategy, training_policy=policy,
-                    price_distribution=price,
+                    deviant_index=deviant, deviant_strategy=strategy, price_distribution=price
                 )
             )
 
@@ -419,20 +410,13 @@ class TestBatchedEngine:
         assert config.horizon - 1 - last_training > 2 * self.BLOCK
         assert (run.allocated[last_training + 1:] == config.deviant_index).any()
 
-    def test_all_allocations_has_no_frozen_round(self):
-        for mechanism_name in ("feedback", "direct_regression"):
-            config = self.block_config(
-                mechanism=mechanism_name, training_policy="all_allocations"
-            )
-            self.assert_replays(config)
-
     @pytest.mark.parametrize("mechanism_name", ("feedback", "direct_regression"))
     @pytest.mark.parametrize(
         "overrides",
         (dict(schedule_kind="constant", eta_constant=1.0), dict(horizon=1), dict(horizon=2)),
         ids=("eta-1", "horizon-1", "horizon-2"),
     )
-    def test_exploration_only_runs_without_a_frozen_round(self, mechanism_name, overrides):
+    def test_runs_without_a_frozen_round(self, mechanism_name, overrides):
         # Every round explores, at a constant rate of 1 or within the floor
         # rounds, so no block of frozen rounds is played.
         for strategy in ("truthful", "threshold_shift:-0.2", "random:0.5"):
@@ -441,17 +425,6 @@ class TestBatchedEngine:
             )
             run = self.assert_replays(config)
             assert run.explored.all()
-
-    @pytest.mark.parametrize("strategy", ("inverted", "random:0.5"))
-    def test_all_allocations_deviants_play_every_round(self, strategy, monkeypatch):
-        # The engine, not the twin replay, plays a deviant whose exploitation
-        # rounds train, one run_round per round.
-        config = self.block_config(training_policy="all_allocations", deviant_strategy=strategy)
-        rounds = count_calls(monkeypatch, experiment, "run_round")
-        run_single(config.replace(deviant_index=None, deviant_strategy="truthful"), 0)
-        rounds.clear()
-        self.assert_replays(config)
-        assert len(rounds) == config.horizon
 
     @pytest.mark.parametrize(
         "mechanism_name, price", itertools.product(
@@ -587,9 +560,8 @@ class TestBatchedEngine:
 
         for owner in (experiment, mechanism):
             monkeypatch.setattr(owner, "exploration_rate", counted(owner))
-        for policy in ("exploration_only", "all_allocations"):
-            run_single(small_config(training_policy=policy), 0, keep_records=False)
-        assert seen == ["feedauction.experiment"] * 2
+        run_single(small_config(), 0, keep_records=False)
+        assert seen == ["feedauction.experiment"]
 
     def test_state_has_no_round_counter(self):
         assert "t" not in {field.name for field in dataclasses.fields(MechanismState)}
@@ -849,19 +821,11 @@ class TestDatasetWorlds:
         assert meta["feature_scaling"]["pca_components"] == 4
         assert len(meta["feature_scaling"]["feature_min"]) == 4
 
-    @pytest.mark.parametrize(
-        "mechanism_name, policy",
-        itertools.product(
-            ("feedback", "direct_regression", "uniform", "oracle"),
-            ("exploration_only", "all_allocations"),
-        ),
-    )
-    def test_runs_read_through_the_index_match_the_gathered_world(
-        self, mechanism_name, policy, prepared
-    ):
+    @pytest.mark.parametrize("mechanism_name", ("feedback", "direct_regression", "uniform", "oracle"))
+    def test_runs_read_through_the_index_match_the_gathered_world(self, mechanism_name, prepared):
         # A run reads its contexts through the draw index; only a run with records gathers
         # the world. Both give the same columns, and that world is pool[draws] itself.
-        base = self.toxic_config(horizon=600, mechanism=mechanism_name, training_policy=policy)
+        base = self.toxic_config(horizon=600, mechanism=mechanism_name)
         cases = [(None, "truthful")] + list(
             itertools.product((0, base.n_agents - 1), ("inverted", "random:0.5"))
         )

@@ -41,26 +41,26 @@ CONFIGS = {
 
 GOLDEN = {
     ('feedback', False): {
-        'runs/feedback_seed000.jsonl': '900e56ec44ee71562e8dceca74c7d46dcb19a91fe9fa0cfcfc94e10ce0f97022',
-        'runs/feedback_seed001.jsonl': '6f344144459a9c53df794eec6ffd84bc8654a9341c5b8b29f59aa9631c5c0ddc',
+        'runs/feedback_seed000.jsonl': '88588c665e01b69cd200d97cc3a2015643b15c518d8252240f002fc72d3e89f9',
+        'runs/feedback_seed001.jsonl': '75effcfa6cc4a77964504d945543bf67ffc34409092a151e4fd97d9b83f83ccb',
         'report/histogram_feedback.csv': '8eb80f86a27b108e9a6198e98155adb7dfa0deccc97fad97aa1c1ebf07c4d1e8',
         'report/regret_feedback.csv': '634ae5a311c3811e897f2d8c0b93a46e37e111911f0adddada18d0e21b414874',
     },
     ('feedback', True): {
-        'runs/feedback_seed000.jsonl': '4282ad349a6ea5eb69093b80fca88002e8e200794a4ddc26f2b4c51678390822',
-        'runs/feedback_seed001.jsonl': '7b354cf726dd01877052653a03f48b271c90ace27b3bc7b2f8c3068c95822068',
+        'runs/feedback_seed000.jsonl': '967d4900f46bdbaa634c25e296c745329ecaf77e514c1f30c423b15596257d49',
+        'runs/feedback_seed001.jsonl': '9860be5173b9f87c8f3f6e0eb81e139e9d8cc29884c2b8a375a8d8f6b47a3bef',
         'report/histogram_feedback.csv': '8eb80f86a27b108e9a6198e98155adb7dfa0deccc97fad97aa1c1ebf07c4d1e8',
         'report/regret_feedback.csv': '634ae5a311c3811e897f2d8c0b93a46e37e111911f0adddada18d0e21b414874',
     },
     ('uniform', False): {
-        'runs/uniform_seed000.jsonl': '1b77535d9c9ea98521ffe145f854abaec96164b6092cc09427ffa68749de89c0',
-        'runs/uniform_seed001.jsonl': '6a15ccf4c9b5761a564dc99f7098512b4f904f65378cc1aa0f0f759473f1e8dc',
+        'runs/uniform_seed000.jsonl': '639e2047ff1887e53bdd1bb5a7d9e0ef3394ee9c8d51d93ce1e8cf1506c9ce44',
+        'runs/uniform_seed001.jsonl': '0ebadf740aaac61e78909c5b7f5ebc34d625a1fd9eb4f187f4f518a3bff0c4c3',
         'report/histogram_uniform.csv': '0dc53b67db2d29c4ae7bae91cf9d3a04a2888b3fb0e1f9cd7b6485851cbf1f9c',
         'report/regret_uniform.csv': '8266f0c1fc08fb043ded040f1fefe337dfcc0e334db12584b6c7b84e78237dff',
     },
     ('uniform', True): {
-        'runs/uniform_seed000.jsonl': '3976b4b5434993b75384f7309130400f86c6fc599759a3334f06effd8d65bf68',
-        'runs/uniform_seed001.jsonl': '1f528644ceb0024b98cf787ab7bffd9a8436b888c6be9e7f59ff4fa673cba5fc',
+        'runs/uniform_seed000.jsonl': '899e709cca66210b39951c479bd6e7f4ca159200ab835a0fe728e9056e04ba36',
+        'runs/uniform_seed001.jsonl': '7a355c3a86a8272be7f4985aa2a1c4cbc5dbef3d96fa11b538c69c5d168b3e35',
         'report/histogram_uniform.csv': '0dc53b67db2d29c4ae7bae91cf9d3a04a2888b3fb0e1f9cd7b6485851cbf1f9c',
         'report/regret_uniform.csv': '8266f0c1fc08fb043ded040f1fefe337dfcc0e334db12584b6c7b84e78237dff',
     },

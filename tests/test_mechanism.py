@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from feedauction.config import ConfigError, ExperimentConfig
 from feedauction.core import DimensionMismatchError
-from feedauction.experiment import exploration_schedule
+from feedauction.experiment import exploration_schedule, run_single
 from feedauction.learner import ValueModel
 from feedauction.mechanism import (
     MechanismState,
@@ -34,22 +34,6 @@ class ScriptedOracle:
         return self.utilities[agent]
 
 
-class PinnedModel:
-    """Predicts a fixed value whatever it ingests; counts the samples."""
-
-    min_samples = float("inf")  # never ready, so the state never refits it
-
-    def __init__(self, value):
-        self.value = value
-        self.sample_count = 0
-
-    def predict(self, context):
-        return self.value
-
-    def ingest(self, context, target):
-        self.sample_count += 1
-
-
 def schedule(kind, n_agents, **changes):
     # A config that differs from the defaults only in its schedule; a lone
     # agent is allowed only under the uniform mechanism.
@@ -68,25 +52,19 @@ def coins(state, rounds):
     return exploration_schedule(state, rounds)[1]
 
 
-def pinned_state(n_agents, priors, *, eta_constant=1e-12, seed=77, **changes):
-    # Fixed predictions make the exploitation branch fully scripted.
-    state = new_state(
-        n_agents, 2, seed, "constant", eta_constant=eta_constant, floor_rounds=1, **changes
-    )
-    state.models = [PinnedModel(p) for p in priors]
-    return state
+def explored_draws(state, rounds):
+    # The explored flags of the first ``rounds`` rounds and, drawn in one
+    # batch as the driver draws them, each explored round's (winner, price).
+    explored = coins(state, rounds)
+    winners, prices = _explore(state, int(explored.sum()))
+    return explored, iter(zip(winners.tolist(), prices.tolist()))
 
 
-def second_round_coin(state):
-    # Round 2 is past the one-round floor, so the constant rate applies.
-    return coins(state, 2)[1]
-
-
-def play_second_round(state, contexts):
-    # Round 2 of a pinned state, every report a yes.
-    coin = second_round_coin(state)
-    oracle = ScriptedOracle(lambda a, c: True)
-    return run_round(state, contexts, oracle, _explore(state) if coin else None)
+def stream_states(state):
+    return [
+        stream.gen.bit_generator.state
+        for stream in (state.coin_stream, state.agent_stream, state.price_stream)
+    ]
 
 
 def flat_contexts(n_agents):
@@ -312,143 +290,106 @@ class TestExploitStretch:
 
 
 class TestRunRound:
-    def test_exploitation_allocates_argmax_and_charges_runner_up(self):
-        state = pinned_state(2, [0.9, 0.5])
-        explored = second_round_coin(state)
-        coin = state.coin_stream.gen.bit_generator.state
-        draw = _explore(state) if explored else None
-        record = run_round(state, flat_contexts(2), ScriptedOracle(lambda a, c: True), draw)
-        assert not record.explored
-        assert record.allocated_agent == 0
-        assert record.payment == 0.5
-        assert record.comparison_price == 0.5
-        # The coin comes from the schedule; the round draws none.
-        assert state.coin_stream.gen.bit_generator.state == coin
+    """An explored round trains its winner on the winner's report.
 
-    def test_exploitation_tie_break(self):
-        state = pinned_state(3, [0.4, 0.4, 0.2])
-        record = play_second_round(state, flat_contexts(3))
-        assert record.allocated_agent == 0
-        assert record.payment == 0.4
+    Exploitation is ``second_price`` over ``exploit_stretch``'s estimates,
+    which TestSecondPrice and TestExploitStretch check.
+    """
 
-    def test_exploitation_does_not_train_by_default(self):
-        state = pinned_state(2, [0.9, 0.5])
-        play_second_round(state, flat_contexts(2))
-        assert all(m.sample_count == 0 for m in state.models)
-
-    def test_all_allocations_policy_trains_on_exploitation(self):
-        state = pinned_state(2, [0.9, 0.5], training_policy="all_allocations")
-        play_second_round(state, flat_contexts(2))
-        assert state.models[0].sample_count == 1
-        assert state.models[1].sample_count == 0
-
-    def test_first_round_explores_for_free(self):
+    def test_an_explored_round_trains_only_its_winner(self):
         state = new_state(3, 2, 123)
+        _, draws = explored_draws(state, 1)  # round 1 is floored at full exploration
+        winner, price = next(draws)
+        before = stream_states(state)
         oracle = ScriptedOracle(lambda a, c: c < 0.5)
-        coin = coins(state, 1)[0]
-        record = run_round(state, flat_contexts(3), oracle, _explore(state) if coin else None)
+        record = run_round(state, flat_contexts(3), oracle, (winner, price))
         assert record.explored
-        assert record.payment == 0.0
-        assert 0.0 <= record.comparison_price < 1.0
-        assert state.models[record.allocated_agent].sample_count == 1
-        untouched = [m.sample_count for i, m in enumerate(state.models) if i != record.allocated_agent]
+        assert record.allocated_agent == winner
+        assert record.report == (price < 0.5)
+        assert state.models[winner].sample_count == 1
+        untouched = [m.sample_count for i, m in enumerate(state.models) if i != winner]
         assert untouched == [0, 0]
-
-    def test_single_agent_exploitation_rejected(self):
-        state = pinned_state(1, [0.9])
-        with pytest.raises(ValueError):
-            play_second_round(state, flat_contexts(1))
+        # The coin and the draw come before the round, which draws nothing.
+        assert stream_states(state) == before
 
     def test_context_shape_validated(self):
-        state = pinned_state(2, [0.9, 0.5])
+        state = new_state(2, 2, 77)
         with pytest.raises(DimensionMismatchError):
-            play_second_round(state, np.ones((3, 2)))
-
-    def test_exploration_winner_frequencies_are_uniform(self):
-        rounds = 100_000
-        state = new_state(3, 2, 2024, "constant", eta_constant=1.0)
-        contexts = flat_contexts(3)
-        oracle = ScriptedOracle(lambda a, c: c < 0.5)
-        counts = np.zeros(3)
-        for coin in coins(state, rounds):
-            draw = _explore(state) if coin else None
-            counts[run_round(state, contexts, oracle, draw).allocated_agent] += 1
-        assert np.all(np.abs(counts / rounds - 1.0 / 3.0) < 0.02)
-
-    def test_exploration_fraction_tracks_constant_rate(self):
-        # 50 seeds of 2000 rounds at a constant rate; the first three rounds
-        # are floored at 1, which the expectation accounts for.
-        rate, horizon, seeds = 0.1, 2000, 50
-        config = schedule("constant", 2, eta_constant=rate)
-        oracle = ScriptedOracle(lambda a, c: c < 0.5)
-        contexts = flat_contexts(2)
-        explored = 0
-        for seed in range(seeds):
-            state = MechanismState.create(config, 2, seed)
-            for coin in coins(state, horizon):
-                draw = _explore(state) if coin else None
-                explored += run_round(state, contexts, oracle, draw).explored
-        total = seeds * horizon
-        expected = (3 * 1.0 + (horizon - 3) * rate) / horizon
-        stderr = np.sqrt(expected * (1 - expected) / total)
-        assert abs(explored / total - expected) < 3 * stderr
-
-    def test_payment_never_exceeds_winner_estimate(self):
-        state = new_state(3, 3, 31, "constant", eta_constant=0.5)
-        rng = np.random.Generator(np.random.PCG64(9))
-        oracle = ScriptedOracle(lambda a, c: c < 0.4)
-        for coin in coins(state, 600):
-            contexts = rng.dirichlet(np.ones(3), size=3)
-            record = run_round(state, contexts, oracle, _explore(state) if coin else None)
-            if record.explored:
-                assert record.payment == 0.0
-            else:
-                estimates = state.last_estimates
-                assert record.payment <= estimates[record.allocated_agent] + 1e-12
-                assert record.payment == sorted(estimates)[-2]
+            run_round(state, np.ones((3, 2)), ScriptedOracle(lambda a, c: True), (0, 0.5))
 
     def test_decisions_never_read_utilities(self):
         # Two worlds with wildly different utilities but identical scripted
-        # answers must produce identical ledgers: the only agent channel the
-        # mechanism has is the comparison report.
+        # answers must produce identical decisions: the only agent channel the
+        # mechanism has is the comparison report. Explored rounds train
+        # through run_round, and the others are auctions on the frozen models.
         def play(utilities):
             state = new_state(3, 3, 58)
             oracle = ScriptedOracle(
                 lambda a, c: (a + int(c * 100)) % 3 == 0, utilities=utilities
             )
             rng = np.random.Generator(np.random.PCG64(4))
+            explored, draws = explored_draws(state, 400)
             rows = []
-            for coin in coins(state, 400):
+            for coin in explored:
                 contexts = rng.dirichlet(np.ones(3), size=3)
-                record = run_round(state, contexts, oracle, _explore(state) if coin else None)
-                rows.append(
-                    (record.allocated_agent, record.explored, record.payment, record.report)
-                )
+                if coin:
+                    record = run_round(state, contexts, oracle, next(draws))
+                    rows.append((record.allocated_agent, record.report))
+                else:
+                    _, winners, prices = exploit_stretch(
+                        state.coefficients, state.ready, contexts[None]
+                    )
+                    rows.append((int(winners[0]), float(prices[0])))
             return rows
 
         assert play([0.01, 0.02, 0.03]) == play([0.99, 0.98, 0.97])
 
     def test_paired_seeds_stay_aligned_when_reports_differ(self):
-        # The coins are drawn up front and winner/price only on exploration,
-        # so two runs sharing a master seed explore at the same rounds with
-        # the same winners and prices even if every report differs.
+        # The coins and every explored round's winner and price are drawn
+        # before round 1, so two runs sharing a master seed explore at the
+        # same rounds with the same winners and prices even if every report,
+        # and so every model, differs.
         def play(answer):
             state = new_state(3, 2, 99)
             oracle = ScriptedOracle(lambda a, c: answer)
-            rows = []
-            for coin in coins(state, 300):
-                draw = _explore(state) if coin else None
-                record = run_round(state, flat_contexts(3), oracle, draw)
-                rows.append((record.explored, record.allocated_agent, record.comparison_price))
-            return rows
+            explored, draws = explored_draws(state, 300)
+            draws = list(draws)
+            for draw in draws:
+                assert run_round(state, flat_contexts(3), oracle, draw).allocated_agent == draw[0]
+            return explored, draws, state
 
-        yes_rows = play(True)
-        no_rows = play(False)
-        for (e1, w1, c1), (e2, w2, c2) in zip(yes_rows, no_rows):
-            assert e1 == e2
-            if e1:
-                assert w1 == w2
-                assert c1 == c2
+        yes_explored, yes_draws, yes_state = play(True)
+        no_explored, no_draws, no_state = play(False)
+        np.testing.assert_array_equal(yes_explored, no_explored)
+        assert yes_draws == no_draws
+        assert stream_states(yes_state) == stream_states(no_state)
+        assert not np.array_equal(yes_state.coefficients, no_state.coefficients)
+
+
+class TestExplorationColumns:
+    """The exploration draw as a run's columns record it."""
+
+    def test_explored_winners_are_uniform_and_free(self):
+        config = schedule("constant", 3, eta_constant=0.5, horizon=20_000, dim=2)
+        run = run_single(config, 0, keep_records=False)
+        winners = run.allocated[run.explored]
+        assert winners.size > 9000
+        assert np.all(np.abs(np.bincount(winners, minlength=3) / winners.size - 1 / 3) < 0.02)
+        assert np.all(run.payments[run.explored] == 0.0)
+
+    def test_exploration_fraction_tracks_constant_rate(self):
+        # 50 seeds of 2000 rounds at a constant rate; the first three rounds
+        # are floored at 1, which the expectation accounts for.
+        rate, horizon, seeds = 0.1, 2000, 50
+        config = schedule("constant", 2, eta_constant=rate, horizon=horizon, dim=2)
+        explored = sum(
+            int(run_single(config, seed, keep_records=False).explored.sum())
+            for seed in range(seeds)
+        )
+        total = seeds * horizon
+        expected = (3 * 1.0 + (horizon - 3) * rate) / horizon
+        stderr = np.sqrt(expected * (1 - expected) / total)
+        assert abs(explored / total - expected) < 3 * stderr
 
 
 class TestMechanismState:
@@ -461,19 +402,18 @@ class TestMechanismState:
         assert all(model.dim == 4 and model.sample_count == 0 for model in state.models)
         assert state.refresh_estimates(np.full((3, 4), 0.25)).shape == (3,)
 
-    def test_bad_policy_and_target_rejected(self):
-        # The training policy is checked when the config is built; the
-        # training target follows the mechanism, so no bad target can exist.
-        with pytest.raises(ConfigError, match="training.policy"):
-            schedule("slow", 2, training_policy="sometimes")
+    def test_bad_training_target_rejected(self):
+        # The training target follows the mechanism, so no bad target can exist.
         with pytest.raises(ConfigError, match="mechanism"):
             ExperimentConfig(mechanism="rank_regression")
 
     def test_fixed_price_distribution(self):
-        state = pinned_state(2, [0.9, 0.5], eta_constant=1.0, price_distribution="fixed:0.3")
-        record = play_second_round(state, flat_contexts(2))
-        assert record.explored
-        assert record.comparison_price == 0.3
+        state = new_state(2, 2, 77, price_distribution="fixed:0.3")
+        before = state.price_stream.gen.bit_generator.state
+        _, prices = _explore(state, 5)
+        assert prices.tolist() == [0.3] * 5
+        # A fixed price draws nothing from the price stream.
+        assert state.price_stream.gen.bit_generator.state == before
 
     def test_bad_price_distribution_rejected(self):
         with pytest.raises(ConfigError, match="exploration.price_distribution"):

@@ -1,8 +1,8 @@
 """Properties every run must have, over configs drawn by hypothesis.
 
-Each drawn config is valid by construction: any mechanism, schedule,
-training policy, price rule, noise law and deviant strategy, on a synthetic
-or a small CSV-style corpus world. Runs are short (at most 200 rounds, 2-5
+Each drawn config is valid by construction: any mechanism, schedule, price
+rule, noise law and deviant strategy, on a synthetic or a small CSV-style
+corpus world. Runs are short (at most 200 rounds, 2-5
 agents, at most 30 corpus examples), and the draws are derandomized so the
 suite is deterministic.
 """
@@ -51,7 +51,6 @@ def worlds(draw):
         epsilon=draw(st.floats(min_value=0.01, max_value=0.5)),
         eta_constant=draw(st.floats(min_value=0.05, max_value=1.0)),
         floor_rounds=draw(st.integers(min_value=1, max_value=10)),
-        training_policy=draw(st.sampled_from(("exploration_only", "all_allocations"))),
         price_distribution=draw(
             st.one_of(st.just("uniform"), unit.map(lambda v: f"fixed:{v}"))
         ),
