@@ -293,7 +293,8 @@ class TestRunRound:
     """An explored round trains its winner on the winner's report.
 
     Exploitation is ``second_price`` over ``exploit_stretch``'s estimates,
-    which TestSecondPrice and TestExploitStretch check.
+    which TestSecondPrice and TestExploitStretch check, and
+    TestExploitationColumns checks in a run's columns.
     """
 
     def test_an_explored_round_trains_only_its_winner(self):
@@ -390,6 +391,88 @@ class TestExplorationColumns:
         expected = (3 * 1.0 + (horizon - 3) * rate) / horizon
         stderr = np.sqrt(expected * (1 - expected) / total)
         assert abs(explored / total - expected) < 3 * stderr
+
+
+LEARNED_ARMS = list(
+    itertools.product(("feedback", "direct_regression"), ("truthful", "inverted", "random:0.5"))
+)
+
+
+def learned_run(mechanism_name, strategy, **changes):
+    # A learned run with records; every strategy but truthful deviates as
+    # agent 1, so its columns come from the twin's replay.
+    base = dict(
+        horizon=1500, n_agents=4, dim=3, master_seed=41, mechanism=mechanism_name,
+        schedule_kind="constant", eta_constant=0.2,
+    )
+    if strategy != "truthful":
+        base.update(deviant_index=1, deviant_strategy=strategy)
+    base.update(changes)
+    return run_single(ExperimentConfig(**base), 0)
+
+
+class TestExploitationColumns:
+    """A run's unexplored rounds are second-price auctions on its estimates.
+
+    The truthful run plays them with ``exploit_stretch``; a deviant arm
+    replays them from its twin, so both are checked.
+    """
+
+    @pytest.mark.parametrize("mechanism_name, strategy", LEARNED_ARMS)
+    def test_exploitation_allocates_argmax_and_charges_runner_up(self, mechanism_name, strategy):
+        run = learned_run(mechanism_name, strategy)
+        frozen = ~run.explored
+        assert frozen.sum() > 1000
+        estimates = run.estimates[frozen]
+        np.testing.assert_array_equal(run.allocated[frozen], estimates.argmax(axis=1))
+        runner_up = np.sort(estimates, axis=1)[:, -2]
+        np.testing.assert_array_equal(run.payments[frozen], runner_up)
+        np.testing.assert_array_equal(run.comparison_prices[frozen], runner_up)
+
+    def test_exploitation_tie_break(self):
+        # Round 1 gives one model a sample, short of the dim it needs, so
+        # every later round is an auction of three prior estimates.
+        config = ExperimentConfig(
+            horizon=50, n_agents=3, dim=2, schedule_kind="constant", eta_constant=1e-6,
+            floor_rounds=1,
+        )
+        run = run_single(config, 0)
+        assert run.explored[0] and not run.explored[1:].any()
+        np.testing.assert_array_equal(run.estimates[1:], ValueModel.prior_estimate)
+        np.testing.assert_array_equal(run.allocated[1:], 0)
+        np.testing.assert_array_equal(run.payments[1:], ValueModel.prior_estimate)
+
+    @pytest.mark.parametrize("mechanism_name, strategy", LEARNED_ARMS)
+    def test_exploitation_does_not_train(self, mechanism_name, strategy):
+        # Each model holds one sample per explored round its agent won.
+        run = learned_run(mechanism_name, strategy)
+        wins = np.bincount(run.allocated[run.explored], minlength=run.config.n_agents)
+        assert [model["sample_count"] for model in run.final_models] == wins.tolist()
+        assert wins.sum() < run.config.horizon / 2
+
+    @pytest.mark.parametrize("kind", ("slow", "fast", "constant"))
+    def test_first_round_explores_for_free(self, kind):
+        run = learned_run("feedback", "truthful", schedule_kind=kind, eta_constant=0.01)
+        assert run.explored[0] and run.eta[0] == 1.0
+        assert run.payments[0] == 0.0
+        assert 0.0 <= run.comparison_prices[0] < 1.0
+        assert run.final_models[run.allocated[0]]["sample_count"] >= 1
+
+    def test_single_agent_exploitation_rejected(self):
+        # A lone agent has no runner-up to charge: a learned mechanism
+        # refuses it when the config is built, and the auction itself too.
+        with pytest.raises(ConfigError, match="agents.count"):
+            ExperimentConfig(n_agents=1, mechanism="feedback")
+        with pytest.raises(ValueError):
+            exploit_stretch(np.zeros((1, 2)), np.zeros(1, dtype=bool), np.ones((4, 1, 2)))
+
+    @pytest.mark.parametrize("mechanism_name, strategy", LEARNED_ARMS)
+    def test_payment_never_exceeds_winner_estimate(self, mechanism_name, strategy):
+        run = learned_run(mechanism_name, strategy)
+        frozen = ~run.explored
+        winner_estimates = run.estimates[np.arange(run.config.horizon), run.allocated]
+        assert np.all(run.payments[frozen] <= winner_estimates[frozen])
+        assert np.all(run.payments[run.explored] == 0.0)
 
 
 class TestMechanismState:
