@@ -318,17 +318,18 @@ def run_single(
         draws = zip(drawn_winners.tolist(), drawn_prices.tolist())
         training, frozen = np.flatnonzero(explored), np.flatnonzero(~explored)
         # An explored round trains only its winner's model. Row i of the
-        # table is that model as training round i left it; the last row, never
-        # ready, is the prior.
+        # table is that model as training round i left it, zeros until it is
+        # ready; the last row, never ready, is the prior.
         kept = np.zeros((training.size + 1, contexts.shape[2]))
         kept_ready = np.zeros(training.size + 1, dtype=bool)
         for i, (ti, draw) in enumerate(zip(training.tolist(), draws)):
-            oracle.utilities_now = utilities[ti]
-            record = learned_round(state, contexts[ti], oracle, draw)
+            oracle.utilities_now, round_contexts = utilities[ti], contexts[ti]
+            estimates[ti] = state.refresh_estimates(round_contexts)
+            record = learned_round(state, round_contexts, oracle, draw)
             reports[ti] = record.report
-            estimates[ti] = state.last_estimates
-            winner = record.allocated_agent
-            kept[i], kept_ready[i] = state.coefficients[winner], state.ready[winner]
+            model = state.models[record.allocated_agent]
+            if model.sample_count >= model.min_samples:  # train fitted it: not stale
+                kept[i], kept_ready[i] = model.coefficients, True
         # A frozen round reads each agent's model from the agent's last
         # training round before it, or the prior's row (-1) until it has one.
         last = np.full((horizon, n_agents), -1)
@@ -430,10 +431,10 @@ def _deviant_arm(
         )
         model, coefficients, start, asked = ValueModel(own.shape[1]), None, 0, 0
         column[:] = ValueModel.prior_estimate  # until the model is ready
-        for stop in (events + 1).tolist() + [explored.size]:
+        for stop in (events + 1).tolist() + [None]:  # None: the rounds after the last event
             if coefficients is not None:
                 column[start:stop] = _clamped_scores(coefficients, own[start:stop])
-            if stop == explored.size:
+            if stop is None:
                 break
             rows = slice(start, stop - 1)  # its exploitation wins since its last event
             asked += np.count_nonzero(

@@ -14,11 +14,11 @@ price streams, so a run draws all of them before its first round. A model
 changes only in an explored round, so every other round is a second-price
 auction on frozen models. :func:`run_round` plays one explored round, given
 its exploration draw, and trains its winner's model; :func:`exploit_stretch`
-plays many frozen rounds at once, from the stacked coefficients the state
-keeps next to its models or, one set per round, from the models that earlier
-explored rounds left. The uniform baseline is this mechanism at exploration
-rate 1 and makes the same exploration draw, for all of a run's rounds at
-once.
+plays many frozen rounds at once, from stacked model coefficients, shared by
+every round or one set per round, which the caller gathers from the models
+that earlier explored rounds left. The uniform baseline is this mechanism at
+exploration rate 1 and makes the same exploration draw, for all of a run's
+rounds at once.
 
 The mechanism observes agents only through a :class:`RoundOracle`: a yes/no
 comparison query. Realized utilities never enter any allocation, payment, or
@@ -153,7 +153,7 @@ class RoundOracle(Protocol):
 
 @dataclass
 class MechanismState:
-    """Mutable cross-round state: value models, stacked coefficients and RNG streams.
+    """Mutable cross-round state: one value model per agent and the RNG streams.
 
     The schedule, training target and price rule are read from ``config``.
     A run draws one coin per round from the coin stream, by its schedule, and
@@ -162,21 +162,15 @@ class MechanismState:
     Two runs sharing a master seed therefore stay aligned round for round
     even when their agents report differently. The uniform baseline draws
     every round's winner and price from the same two streams in one batch,
-    and no coin.
-
-    ``coefficients`` stacks the models' fitted coefficients, one row per
-    agent, and ``ready`` marks the agents whose models have ``min_samples``
-    samples; an agent that is not ready is estimated at the prior.
+    and no coin. The models are the only record of training: a caller that
+    plays frozen rounds stacks their coefficients itself.
     """
 
     config: ExperimentConfig
     models: list[ValueModel]
-    coefficients: np.ndarray
-    ready: np.ndarray
     coin_stream: RngStream
     agent_stream: RngStream
     price_stream: RngStream
-    last_estimates: np.ndarray | None = field(default=None, repr=False)
     _fixed_price: float | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -188,8 +182,6 @@ class MechanismState:
         return cls(
             config=config,
             models=[ValueModel(dim) for _ in range(config.n_agents)],
-            coefficients=np.zeros((config.n_agents, dim)),
-            ready=np.zeros(config.n_agents, dtype=bool),
             coin_stream=derive_stream(master_seed, "mechanism/explore_coin"),
             agent_stream=derive_stream(master_seed, "mechanism/explore_agent"),
             price_stream=derive_stream(master_seed, "mechanism/comparison_price"),
@@ -197,21 +189,19 @@ class MechanismState:
 
     def refresh_estimates(self, contexts: np.ndarray) -> np.ndarray:
         """Predict every agent's value for one round's contexts."""
-        estimates = np.array([model.predict(c) for model, c in zip(self.models, contexts)], float)
-        self.last_estimates = estimates
-        return estimates
+        return np.array([model.predict(c) for model, c in zip(self.models, contexts)], float)
 
     def train(self, agent: int, context: np.ndarray, target: float) -> None:
-        """Feed one sample to ``agent``'s model and restack it once it is ready.
+        """Feed one sample to ``agent``'s model and fit the model once it is ready.
 
         The refit is eager, and made only for a ready model, so a run fits
-        as often as the lazy refit inside ``ValueModel.predict`` would.
+        as often as the lazy refit inside ``ValueModel.predict`` would, and a
+        ready model's ``coefficients`` are never stale.
         """
         model = self.models[agent]
         model.ingest(context, target)
         if model.sample_count >= model.min_samples:
-            self.coefficients[agent] = model.fit()
-            self.ready[agent] = True
+            model.fit()
 
 
 def _explore(state: MechanismState, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,8 +223,8 @@ def run_round(
 
     ``contexts`` is the (n_agents, dim) block of request features for this
     round. ``draw`` is the round's exploration draw, its ``(winner, price)``
-    from ``_explore``. Returns the round's decisions; ground truth stays with
-    the caller.
+    from ``_explore``. No decision reads an estimate, so the round predicts
+    nothing. Returns the round's decisions; ground truth stays with the caller.
     """
     contexts = np.asarray(contexts, dtype=float)
     n_agents = len(state.models)
@@ -242,7 +232,6 @@ def run_round(
         raise DimensionMismatchError(
             f"contexts have shape {contexts.shape}, expected ({n_agents}, dim)"
         )
-    state.refresh_estimates(contexts)
     winner, price = draw
     answer = bool(oracle.compare(winner, price))
     if state.config.mechanism == "direct_regression":
@@ -259,12 +248,12 @@ def exploit_stretch(
     """Play a block of exploitation rounds on frozen models, all at once.
 
     ``contexts`` is the block's (rounds, n_agents, dim) array. ``coefficients``
-    and ``ready`` are the stacked models the rounds read: (n_agents, dim) and
-    (n_agents,) when every round reads the same models, or one (n_agents,
-    dim) and (n_agents,) row per round. Every round is estimated exactly as
-    ``ValueModel.predict`` would: the prior for an agent that is not ready,
-    else the linear score clamped to [0, 1]. Returns the (rounds, n_agents)
-    estimates and each round's winner and second price.
+    and ``ready`` are the models the rounds read, stacked by the caller:
+    (n_agents, dim) and (n_agents,) when every round reads the same models,
+    or one (n_agents, dim) and (n_agents,) row per round. Every round is
+    estimated exactly as ``ValueModel.predict`` would: the prior for an agent
+    that is not ready, else the linear score clamped to [0, 1]. Returns the
+    (rounds, n_agents) estimates and each round's winner and second price.
     """
     estimates = np.where(ready, _clamped_scores(coefficients, contexts), ValueModel.prior_estimate)
     winners, prices = second_price(estimates)

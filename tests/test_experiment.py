@@ -410,6 +410,20 @@ class TestBatchedEngine:
         assert config.horizon - 1 - last_training > 2 * self.BLOCK
         assert (run.allocated[last_training + 1:] == config.deviant_index).any()
 
+    @pytest.mark.parametrize("master_seed", (3, 8, 9))
+    def test_a_random_deviants_event_in_the_last_round_replays(self, master_seed):
+        # The deviant wins the last round, an explored one: the replay still
+        # feeds that event to the deviant's model, so its final model
+        # counts every explored win.
+        config = ExperimentConfig(
+            horizon=300, n_agents=3, dim=2, schedule_kind="constant", eta_constant=0.5,
+            master_seed=master_seed, deviant_index=1, deviant_strategy="random:0.5",
+        )
+        run = self.assert_replays(config)
+        assert run.explored[-1] and run.allocated[-1] == config.deviant_index
+        won = int((run.explored & (run.allocated == config.deviant_index)).sum())
+        assert run.final_models[config.deviant_index]["sample_count"] == won
+
     @pytest.mark.parametrize("mechanism_name", ("feedback", "direct_regression"))
     @pytest.mark.parametrize(
         "overrides",

@@ -47,6 +47,15 @@ def new_state(n_agents, dim, seed, kind="slow", **changes):
     return MechanismState.create(schedule(kind, n_agents, **changes), dim, seed)
 
 
+def stacked(state):
+    # The state's models as exploit_stretch reads them: each ready model's
+    # coefficients, and a zero row for one that is not (its coefficients
+    # property would refit it).
+    ready = np.array([m.sample_count >= m.min_samples for m in state.models])
+    rows = [m.coefficients if r else np.zeros(m.dim) for m, r in zip(state.models, ready)]
+    return np.array(rows), ready
+
+
 def coins(state, rounds):
     # The explored flags of the first ``rounds`` rounds, from the run's schedule.
     return exploration_schedule(state, rounds)[1]
@@ -226,40 +235,42 @@ class TestExploitStretch:
             contexts = np.random.Generator(np.random.PCG64(100 + seed)).dirichlet(
                 np.ones(3), size=(300, 4)
             )
-            estimates, winners, prices = exploit_stretch(state.coefficients, state.ready, contexts)
+            coefficients, ready = stacked(state)
+            estimates, winners, prices = exploit_stretch(coefficients, ready, contexts)
             expected = np.array(
                 [[m.predict(c) for m, c in zip(state.models, row)] for row in contexts]
             )
             assert estimates.tobytes() == expected.tobytes()
             for row, winner, price in zip(expected, winners, prices):
                 assert second_price(row) == (winner, price)
-        assert not state.ready[:2].any() and state.ready[2:].all()
+        assert not ready[:2].any() and ready[2:].all()
 
     def test_per_round_models_equal_one_call_per_model_set(self):
         # Rounds that read different stacked models, gathered into one call,
         # get the estimates of one call per set of models.
-        states = [self.trained_state(seed, samples=(0, 3, 5, 40)) for seed in range(3)]
-        states[0].ready[:] = False
+        # The first set holds fitted coefficients but reads every agent at the prior.
+        stacks = [stacked(self.trained_state(seed, samples=(0, 3, 5, 40))) for seed in range(3)]
+        stacks[0] = (stacks[0][0], np.zeros(4, dtype=bool))
         rng = np.random.Generator(np.random.PCG64(7))
         contexts = rng.dirichlet(np.ones(3), size=(200, 4))
-        which = rng.integers(len(states), size=200)
-        coefficients = np.stack([state.coefficients for state in states])[which]
-        ready = np.stack([state.ready for state in states])[which]
+        which = rng.integers(len(stacks), size=200)
+        coefficients = np.stack([stack[0] for stack in stacks])[which]
+        ready = np.stack([stack[1] for stack in stacks])[which]
         estimates, winners, prices = exploit_stretch(coefficients, ready, contexts)
-        for k, state in enumerate(states):
+        for k, stack in enumerate(stacks):
             rows = which == k
-            expected = exploit_stretch(state.coefficients, state.ready, contexts[rows])
+            expected = exploit_stretch(*stack, contexts[rows])
             assert estimates[rows].tobytes() == expected[0].tobytes()
             np.testing.assert_array_equal(winners[rows], expected[1])
             assert prices[rows].tobytes() == expected[2].tobytes()
 
     def test_prior_and_clamped_rows(self):
         state = new_state(3, 2, 5)
-        for model in state.models[1:]:
+        for model, coefficients in zip(state.models[1:], ([3.0, -2.0], [-1.0, 0.25])):
             model.ingest_batch(np.eye(2), np.zeros(2))
-        state.ready[1:] = True
-        state.coefficients[1] = [3.0, -2.0]
-        state.coefficients[2] = [-1.0, 0.25]
+            model._coef, model._stale = np.array(coefficients), False
+        coefficients, ready = stacked(state)
+        np.testing.assert_array_equal(ready, [False, True, True])
         # Agent 0 is on the prior. Agent 1 scores 3, -2 and 0.5; agent 2
         # scores -1, a sum of two -0.0 products, and 0.25.
         contexts = np.array([
@@ -267,9 +278,7 @@ class TestExploitStretch:
             [[0.5, 0.5], [0.0, 1.0], [0.0, -0.0]],
             [[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]],
         ])
-        estimates, _, _ = exploit_stretch(state.coefficients, state.ready, contexts)
-        for model, coefficients in zip(state.models[1:], state.coefficients[1:]):
-            model._coef, model._stale = coefficients.copy(), False
+        estimates, _, _ = exploit_stretch(coefficients, ready, contexts)
         expected = np.array(
             [[m.predict(c) for m, c in zip(state.models, row)] for row in contexts]
         )
@@ -279,14 +288,24 @@ class TestExploitStretch:
         assert estimates.tobytes() == expected.tobytes()
         assert not np.signbit(estimates).any()
 
-    def test_training_restacks_only_ready_models(self):
+    def test_training_fits_only_ready_models(self, monkeypatch):
+        # train fits a model at each sample from its min_samples-th on, so a
+        # ready model is never stale and stacking it fits nothing.
+        fitted, fit = [], ValueModel.fit
+        monkeypatch.setattr(ValueModel, "fit", lambda model: fitted.append(model) or fit(model))
         state = new_state(2, 2, 3)
         state.train(0, np.array([0.5, 0.5]), 1.0)
-        assert not state.ready[0] and state.models[0].sample_count == 1
-        np.testing.assert_array_equal(state.coefficients[0], 0.0)
+        coefficients, ready = stacked(state)
+        assert not ready[0] and state.models[0].sample_count == 1
+        np.testing.assert_array_equal(coefficients[0], 0.0)
+        assert fitted == []
         state.train(0, np.array([0.2, 0.8]), 0.0)
-        assert state.ready[0]
-        np.testing.assert_array_equal(state.coefficients[0], state.models[0].coefficients)
+        state.train(1, np.array([0.4, 0.6]), 1.0)
+        coefficients, ready = stacked(state)
+        assert ready[0] and not ready[1]
+        np.testing.assert_array_equal(coefficients[0], state.models[0].coefficients)
+        state.train(0, np.array([0.9, 0.1]), 1.0)
+        assert fitted == [state.models[0]] * 2
 
 
 class TestRunRound:
@@ -313,6 +332,21 @@ class TestRunRound:
         # The coin and the draw come before the round, which draws nothing.
         assert stream_states(state) == before
 
+    def test_an_explored_round_predicts_nothing(self, monkeypatch):
+        # Neither the winner nor the price reads an estimate, so the round
+        # asks no model for one.
+        state = new_state(3, 2, 124)
+        for agent in range(3):
+            for context in np.eye(2):
+                state.train(agent, context, 1.0)
+        predicted = []
+        monkeypatch.setattr(ValueModel, "predict", lambda *args: predicted.append(args))
+        oracle = ScriptedOracle(lambda a, c: True)
+        for draw in ((0, 0.2), (2, 0.7), (0, 0.5)):
+            run_round(state, flat_contexts(3), oracle, draw)
+        assert predicted == []
+        assert [m.sample_count for m in state.models] == [4, 2, 3]
+
     def test_context_shape_validated(self):
         state = new_state(2, 2, 77)
         with pytest.raises(DimensionMismatchError):
@@ -337,9 +371,7 @@ class TestRunRound:
                     record = run_round(state, contexts, oracle, next(draws))
                     rows.append((record.allocated_agent, record.report))
                 else:
-                    _, winners, prices = exploit_stretch(
-                        state.coefficients, state.ready, contexts[None]
-                    )
+                    _, winners, prices = exploit_stretch(*stacked(state), contexts[None])
                     rows.append((int(winners[0]), float(prices[0])))
             return rows
 
@@ -364,7 +396,7 @@ class TestRunRound:
         np.testing.assert_array_equal(yes_explored, no_explored)
         assert yes_draws == no_draws
         assert stream_states(yes_state) == stream_states(no_state)
-        assert not np.array_equal(yes_state.coefficients, no_state.coefficients)
+        assert not np.array_equal(stacked(yes_state)[0], stacked(no_state)[0])
 
 
 class TestExplorationColumns:

@@ -16,6 +16,7 @@ from feedauction.config import ExperimentConfig
 from feedauction.dataio import generate_synthetic_dataset
 from feedauction.experiment import prepare_dataset, run_single
 from feedauction.metrics import per_agent_welfare_loss, welfare_regret
+from helpers import per_round_baseline_reference, per_round_reference
 
 MECHANISMS = ("feedback", "direct_regression", "uniform", "oracle")
 LEARNED = ("feedback", "direct_regression")
@@ -123,3 +124,29 @@ def test_a_truthful_twin_is_bit_identical_to_no_deviant(world):
         else:
             assert a.dtype == b.dtype and np.array_equal(a, b), column
     assert no_deviant.final_models == twin.final_models
+
+
+@given(worlds())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_every_run_equals_the_per_round_loop(world):
+    # The decision columns and final models against the per-round loops, and
+    # the world columns, which those loops read from the run, against the run
+    # of the same seed without the deviant: the world is the same whoever
+    # deviates.
+    config, prepared = world
+    run = run_single(config, 0, prepared)
+    if config.mechanism in LEARNED:
+        expected = per_round_reference(config, run)
+    else:
+        expected = per_round_baseline_reference(config, run)
+        expected.update(estimates=None, final_models=None)
+    assert run.final_models == expected.pop("final_models")
+    truthful = run_single(config.replace(deviant_index=None), 0, prepared)
+    for column in RUN_COLUMNS:
+        a = getattr(run, column)
+        b = expected[column] if column in expected else getattr(truthful, column)
+        if b is None:
+            assert a is None, column
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b), column
+    np.testing.assert_array_equal(run.oracle_second_prices, second_highest(run.true_means))
