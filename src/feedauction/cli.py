@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -34,7 +36,7 @@ from .dataio import (
     write_run,
 )
 from .experiment import paired_deviation_runs, prepare_dataset, run_metadata, run_single
-from .metrics import build_series, loglog_tail_slope
+from .metrics import build_series, estimation_error_trace, loglog_tail_slope, per_round_profit
 
 __all__ = ["main", "write_histogram_csv", "write_regret_csv"]
 
@@ -157,32 +159,31 @@ def _cmd_paired_deviation(args: argparse.Namespace) -> int:
             f"not {config.mechanism!r}: its profit bound is built from the value estimates"
         )
     examples = _load_examples_if_needed(config)
-    pairs = paired_deviation_runs(config, args.agent, args.strategy, examples)
-    from .metrics import estimation_error_trace, per_round_profit
-
-    profits, quartile_means, error_sums = [], [], []
-    for truthful_run, deviant_run in pairs:
-        profile = per_round_profit(truthful_run, deviant_run, args.agent)
-        profits.append(float(profile.sum()))
-        quartile_means.append(float(profile[3 * len(profile) // 4 :].mean()))
-        errors = estimation_error_trace(truthful_run.true_means, truthful_run.estimates)
-        error_sums.append(float(errors.sum()))
+    # Opened before any seed is played, so that a bad path fails first.
+    with Path(args.out).open("w", newline="") if args.out else nullcontext() as handle:
+        pairs = paired_deviation_runs(config, args.agent, args.strategy, examples)
+        profits, quartile_means, error_sums = [], [], []
+        for truthful_run, deviant_run in pairs:
+            profile = per_round_profit(truthful_run, deviant_run, args.agent)
+            profits.append(float(profile.sum()))
+            quartile_means.append(float(profile[3 * len(profile) // 4 :].mean()))
+            errors = estimation_error_trace(truthful_run.true_means, truthful_run.estimates)
+            error_sums.append(float(errors.sum()))
+            print(
+                f"seed {truthful_run.seed_index:3d}: profit={profits[-1]:+.4f} "
+                f"last_quartile_per_round={quartile_means[-1]:+.6f}"
+            )
+        bound = 6.0 * float(np.mean(error_sums))
+        profit_mean, profit_stderr = _mean_stderr(profits)
+        quartile_mean, quartile_stderr = _mean_stderr(quartile_means)
+        print(f"agent {args.agent} strategy {args.strategy}")
+        print(f"mean profit: {profit_mean:+.4f} stderr={profit_stderr:.4f}")
+        print(f"profit bound (6 x cumulative estimate error): {bound:.4f}")
         print(
-            f"seed {truthful_run.seed_index:3d}: profit={profits[-1]:+.4f} "
-            f"last_quartile_per_round={quartile_means[-1]:+.6f}"
+            f"last-quartile per-round profit: mean={quartile_mean:+.6f} "
+            f"stderr={quartile_stderr:.6f}"
         )
-    bound = 6.0 * float(np.mean(error_sums))
-    profit_mean, profit_stderr = _mean_stderr(profits)
-    quartile_mean, quartile_stderr = _mean_stderr(quartile_means)
-    print(f"agent {args.agent} strategy {args.strategy}")
-    print(f"mean profit: {profit_mean:+.4f} stderr={profit_stderr:.4f}")
-    print(f"profit bound (6 x cumulative estimate error): {bound:.4f}")
-    print(
-        f"last-quartile per-round profit: mean={quartile_mean:+.6f} "
-        f"stderr={quartile_stderr:.6f}"
-    )
-    if args.out:
-        with Path(args.out).open("w", newline="") as handle:
+        if handle is not None:
             writer = csv.writer(handle)
             writer.writerow(["seed", "profit", "last_quartile_per_round"])
             for seed_index, (profit, quartile) in enumerate(zip(profits, quartile_means)):
@@ -242,6 +243,11 @@ def _ledger_columns(file_path: str) -> tuple[tuple, str, np.ndarray, np.ndarray,
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    # The output directory is checked before any ledger is parsed and made after every check.
+    out_dir = Path(args.out)
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise OSError(f"cannot write CSVs to {out_dir}: {existing} is not a writable directory")
     groups: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]] = {}
     signatures = set()
     for file_path in args.files:
@@ -260,7 +266,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"({', '.join(map(str, counts))}), so their per-agent welfare-loss "
                 "histograms cannot be averaged"
             )
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"{'mechanism':18s} {'runs':>4s} {'welfare_slope':>14s} {'revenue_slope':>14s}")
     for mechanism in sorted(groups):

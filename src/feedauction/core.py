@@ -99,9 +99,9 @@ class RoundRecord:
     """What one training round decided: its winner and the winner's report.
 
     ``explored`` is always true, since only explored rounds train; the
-    benchmark's layer map counts explored rounds by it. Ground truth
-    (realized utilities, oracle prices) never passes through a round; the
-    driver keeps it in the run's columns.
+    benchmark's layer map counts explored rounds by it. The driver reads
+    only the winner. Ground truth (realized utilities, oracle prices) never
+    passes through a round; the driver keeps it in the run's columns.
     """
 
     allocated_agent: int

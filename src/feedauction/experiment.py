@@ -11,7 +11,8 @@ a result: a run is still a pure function of (config, seed index, corpus).
 
 The driver is also the only component that touches ground truth. Mechanisms
 see agents through the report oracle alone; realized utilities and oracle
-prices stay in the run's columns, next to each round's decisions.
+prices stay in the run's columns, next to each round's decisions. Every run
+ends in one assembly that settles its payments and asks its winners' reports.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .agents import Strategy, report, sample_simplex, utility_from_uniform
 from .baselines import direct_regression_round, oracle_round, uniform_round
 from .config import ExperimentConfig
-from .core import CODE_VERSION, RngStream, derive_seed, derive_stream
+from .core import CODE_VERSION, derive_seed, derive_stream
 from .dataio import CATEGORIES, FeatureScaler, LabeledExample, pca_fit, pca_transform
 from .learner import ValueModel
 from .mechanism import (
@@ -47,13 +48,13 @@ __all__ = [
 class RunResult:
     """Per-round columns of one completed run; ``len()`` is its horizon.
 
-    ``contexts``, the world's (rounds, agents, dim) array, is needed only by
-    the ledger; it is ``None`` for runs made with ``keep_records=False``. A
-    csv world is gathered into it from its pool only for a run with records.
-    A deviant learned arm's ``true_means``, ``utilities``,
-    ``oracle_second_prices``, ``explored`` and ``eta`` are its truthful twin's,
-    shared by every arm of that twin and read-only; its other columns are its
-    own.
+    One assembly builds every run's result and derives its ``payments`` (0 in an explored
+    round, else the comparison price) and ``reports`` from its other columns. ``contexts``,
+    the world's (rounds, agents, dim) array, is needed only by the ledger; it is ``None`` for
+    runs made with ``keep_records=False``. A csv world is gathered into it from its pool only
+    for a run with records. A deviant learned arm's ``true_means``, ``utilities``,
+    ``oracle_second_prices``, ``explored`` and ``eta`` are its truthful twin's, shared by
+    every arm of that twin and read-only; its other columns are its own.
     """
 
     config: ExperimentConfig
@@ -93,48 +94,13 @@ _TWIN: dict[str, Any] = {}
 _SHARED = ("true_means", "utilities", "oracle_second_prices", "estimates", "explored", "eta")
 
 
-class _PopulationOracle:
-    """Answers comparison queries on behalf of the agents.
+class _TruthfulOracle:
+    """A training round's answers, all truthful: a learned run with a deviant replays its twin."""
 
-    Every agent but ``deviant`` (``None`` for none) reports truthfully.
-    ``run_single`` points ``utilities_now`` at the current round's realized
-    utilities before each training round, which it plays through the
-    per-round mechanism call, and asks the winners of all the frozen rounds
-    with one ``compare_stretch``. Only the ``random`` reporting strategy
-    consumes stream randomness, so truthful populations keep the deviant's
-    report stream untouched. Only a truthful population plays training
-    rounds, so ``compare`` answers truthfully: a learned run with a deviant
-    is its twin's replay.
-    """
-
-    __slots__ = ("deviant", "strategy", "report_stream", "utilities_now")
-
-    def __init__(
-        self, deviant: int | None, strategy: Strategy, report_stream: RngStream | None
-    ) -> None:
-        self.deviant = deviant
-        self.strategy = strategy
-        self.report_stream = report_stream
-        self.utilities_now: np.ndarray | None = None
+    __slots__ = ("utilities_now",)
 
     def compare(self, agent: int, price: float) -> bool:
         return report(_TRUTHFUL, float(self.utilities_now[agent]), price)
-
-    def compare_stretch(
-        self, utilities: np.ndarray, winners: np.ndarray, prices: np.ndarray
-    ) -> np.ndarray:
-        """Each round's winner asked at its price, over a (rounds, agents) block.
-
-        One ``report`` for every winner, then one more for the deviant's
-        rounds, so a ``random`` deviant draws in round order.
-        """
-        won = utilities[np.arange(winners.size), winners]
-        answers = report(_TRUTHFUL, won, prices)
-        if self.deviant is not None:
-            rows = winners == self.deviant
-            if rows.any():
-                answers[rows] = report(self.strategy, won[rows], prices[rows], self.report_stream)
-        return answers
 
     def utility(self, agent: int) -> float:
         return float(self.utilities_now[agent])
@@ -222,7 +188,7 @@ def prepare_dataset(examples: list[LabeledExample], pca_components: int) -> Prep
 
 def _dataset_world(
     config: ExperimentConfig, run_seed: int, prepared: PreparedDataset
-) -> tuple[_DrawnContexts, np.ndarray, np.ndarray, dict[str, Any]]:
+) -> tuple[_DrawnContexts, np.ndarray, np.ndarray]:
     if prepared.pca_components != config.pca_components:
         raise ValueError(
             f"dataset was prepared with {prepared.pca_components} components, "
@@ -239,7 +205,7 @@ def _dataset_world(
     utilities = 1.0 - harmed.astype(float)
     # Utilities are deterministic given the drawn example, so the true
     # expected utility of showing it equals the realized value.
-    return world, utilities.copy(), utilities, dict(prepared.meta)
+    return world, utilities.copy(), utilities
 
 
 def exploration_schedule(state: MechanismState, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +231,8 @@ def run_single(
 
     ``prepared`` is the embedded corpus a ``data.source=csv`` world draws
     from; sweeps share one across seeds and mechanisms. ``keep_records=False``
-    drops the contexts, which only the ledger reads; bulk sweeps use it.
+    drops the contexts, which only the ledger reads; bulk sweeps use it. Each
+    mechanism decides winners and prices; one assembly settles every run.
     """
     # Built configs are already valid; this repeat is the run's entry check,
     # which the benchmark's layer map times as ``config.validate``.
@@ -285,36 +252,25 @@ def run_single(
     if config.data_source == "csv":
         if prepared is None:
             raise ValueError("data.source=csv needs the prepared examples")
-        contexts, true_means, utilities, scaler_meta = _dataset_world(
-            config, run_seed, prepared
-        )
+        contexts, true_means, utilities = _dataset_world(config, run_seed, prepared)
     else:
         contexts, true_means, utilities = _synthetic_world(config, run_seed)
-        scaler_meta = None
 
-    oracle = _PopulationOracle(
-        deviant,
-        Strategy.parse(config.deviant_strategy),
-        None if deviant is None else derive_stream(run_seed, f"agents/report/{deviant}"),
-    )
-    oracle_second_prices = oracle_prices(true_means)
-    estimates: np.ndarray | None = None
-    final_models: list[dict[str, Any]] | None = None
+    # A copy: the column is a view of the partitioned (rounds, agents) matrix.
+    oracle_second_prices = oracle_prices(true_means).copy()
 
     state = MechanismState.create(config, contexts.shape[2], run_seed)
+    estimates = final_models = None
     if learned:
         learned_round = run_round if config.mechanism == "feedback" else direct_regression_round
         allocated = np.empty(horizon, dtype=int)
-        payments = np.empty(horizon)
         comparison_prices = np.empty(horizon)
-        reports = np.empty(horizon, dtype=bool)
         estimates = np.empty((horizon, n_agents))
         eta, explored = exploration_schedule(state, horizon)
         # Every explored round's winner and price, drawn before round 1: they
         # come from the agent and price streams, whatever the models are.
         drawn_winners, drawn_prices = _explore(state, int(explored.sum()))
         allocated[explored], comparison_prices[explored] = drawn_winners, drawn_prices
-        payments[explored] = 0.0
         draws = zip(drawn_winners.tolist(), drawn_prices.tolist())
         training, frozen = np.flatnonzero(explored), np.flatnonzero(~explored)
         # An explored round trains only its winner's model. Row i of the
@@ -322,11 +278,11 @@ def run_single(
         # ready; the last row, never ready, is the prior.
         kept = np.zeros((training.size + 1, contexts.shape[2]))
         kept_ready = np.zeros(training.size + 1, dtype=bool)
+        oracle = _TruthfulOracle()
         for i, (ti, draw) in enumerate(zip(training.tolist(), draws)):
             oracle.utilities_now, round_contexts = utilities[ti], contexts[ti]
             estimates[ti] = state.refresh_estimates(round_contexts)
             record = learned_round(state, round_contexts, oracle, draw)
-            reports[ti] = record.report
             model = state.models[record.allocated_agent]
             if model.sample_count >= model.min_samples:  # train fitted it: not stale
                 kept[i], kept_ready[i] = model.coefficients, True
@@ -338,13 +294,9 @@ def run_single(
         for first in range(0, frozen.size, _BLOCK_ROUNDS):
             rows = frozen[first:first + _BLOCK_ROUNDS]
             read = last[rows]
-            estimates[rows], allocated[rows], prices = exploit_stretch(
+            estimates[rows], allocated[rows], comparison_prices[rows] = exploit_stretch(
                 kept[read], kept_ready[read], contexts[rows]
             )
-            payments[rows] = comparison_prices[rows] = prices
-        reports[frozen] = oracle.compare_stretch(
-            utilities[frozen], allocated[frozen], comparison_prices[frozen]
-        )
         final_models = _model_records(state.models)
     else:
         uniform = config.mechanism == "uniform"
@@ -352,31 +304,16 @@ def run_single(
         explored = np.full(horizon, uniform)
         if uniform:
             allocated, comparison_prices = uniform_round(state, horizon)
-            payments = np.zeros(horizon)
         else:  # oracle: allocates on the true means and leaves the state unused
             allocated, prices = oracle_round(true_means)
-            # Copies: the prices are a view of the partitioned (rounds, agents) block.
-            comparison_prices, payments = prices.copy(), prices.copy()
-        reports = oracle.compare_stretch(utilities, allocated, comparison_prices)
+            # A copy: the prices are a view of the partitioned (rounds, agents) block.
+            comparison_prices = prices.copy()
 
-    result = RunResult(
-        config=config,
-        seed_index=seed_index,
-        run_seed=run_seed,
-        contexts=np.asarray(contexts) if keep_records else None,
-        true_means=true_means,
-        utilities=utilities,
-        # A copy: the column is a view of the partitioned (rounds, agents) matrix.
-        oracle_second_prices=oracle_second_prices.copy(),
-        estimates=estimates,
-        allocated=allocated,
-        payments=payments,
-        comparison_prices=comparison_prices,
-        explored=explored,
-        reports=reports,
-        eta=eta,
-        scaler_meta=scaler_meta,
-        final_models=final_models,
+    result = _run_result(
+        config, seed_index, run_seed, contexts, prepared, keep_records,
+        true_means=true_means, utilities=utilities, oracle_second_prices=oracle_second_prices,
+        estimates=estimates, allocated=allocated, comparison_prices=comparison_prices,
+        explored=explored, eta=eta, final_models=final_models,
     )
     if learned and not keep_records:  # a twin; a learned run with a deviant returned above
         _TWIN.update(
@@ -387,6 +324,37 @@ def run_single(
         for name in _SHARED:  # every deviant arm shares them
             _TWIN[name].flags.writeable = False
     return result
+
+
+def _run_result(
+    config: ExperimentConfig, seed_index: int, run_seed: int, world: np.ndarray | _DrawnContexts,
+    prepared: PreparedDataset | None, keep_records: bool, **columns: Any,
+) -> RunResult:
+    """Settle a played run and build its result; every run of every mechanism ends here.
+
+    ``columns`` are the run's columns but ``payments`` and ``reports``, which follow from them:
+    an explored round is free, any other pays its comparison price, and each winner answers
+    one comparison at that price. The deviant answers by its strategy from a fresh
+    ``agents/report/<i>`` stream, in round order, as a replay of its model read it; every
+    other winner answers truthfully.
+    """
+    winners, prices = columns["allocated"], columns["comparison_prices"]
+    won = columns["utilities"][np.arange(winners.size), winners]
+    reports = report(_TRUTHFUL, won, prices)
+    deviant = config.deviant_index
+    if deviant is not None:
+        rows = winners == deviant
+        if rows.any():
+            reports[rows] = report(
+                Strategy.parse(config.deviant_strategy), won[rows], prices[rows],
+                derive_stream(run_seed, f"agents/report/{deviant}"),
+            )
+    return RunResult(
+        config=config, seed_index=seed_index, run_seed=run_seed,
+        contexts=np.asarray(world) if keep_records else None,
+        payments=np.where(columns["explored"], 0.0, prices), reports=reports,
+        scaler_meta=dict(prepared.meta) if config.data_source == "csv" else None, **columns,
+    )
 
 
 def _model_records(models: list[ValueModel]) -> list[dict[str, Any]]:
@@ -403,7 +371,8 @@ def _deviant_arm(
     deviant's estimate against the other agents' best and second-best, which the first arm
     of a twin computes once. A ``random`` deviant gives its k-th query the k-th answer of its
     stream, so its exploitation wins between two events are counted; every other deviant
-    answers each event alike in any order, so its model is replayed in closed form.
+    answers each event alike in any order, so its model is replayed in closed form. The
+    run's assembly asks the reports, the deviant's by its strategy.
     """
     twin, deviant, strategy = _TWIN, config.deviant_index, Strategy.parse(config.deviant_strategy)
     # The twin's read-only columns, shared by every arm, but for the one column the arm writes.
@@ -422,12 +391,11 @@ def _deviant_arm(
     own, (best, leader, second) = twin["contexts"], twin["top"]
     events = np.flatnonzero(explored)[won]
     column = estimates[:, deviant]  # a view: the replay writes the arm's estimates
-    stream_name = f"agents/report/{deviant}"
     if config.mechanism == "feedback" and strategy.kind == "random":
         # Answers in query order; a random answer reads neither argument.
         targets = report(
             strategy, utilities[:, deviant], utilities[:, deviant],
-            derive_stream(run_seed, stream_name),
+            derive_stream(run_seed, f"agents/report/{deviant}"),
         )
         model, coefficients, start, asked = ValueModel(own.shape[1]), None, 0, 0
         column[:] = ValueModel.prior_estimate  # until the model is ready
@@ -458,15 +426,9 @@ def _deviant_arm(
     allocated[explored], comparison_prices[explored] = twin["winners"], twin["prices"]
     final_models = _model_records(twin["models"])
     final_models[deviant] = record
-    # A fresh stream: the reports read the answers the replay read.
-    oracle = _PopulationOracle(deviant, strategy, derive_stream(run_seed, stream_name))
-    return RunResult(
-        config=config, seed_index=seed_index, run_seed=run_seed, allocated=allocated,
-        contexts=np.asarray(world) if keep_records else None, comparison_prices=comparison_prices,
-        payments=np.where(explored, 0.0, comparison_prices), **arm,
-        reports=oracle.compare_stretch(utilities, allocated, comparison_prices),
-        scaler_meta=dict(twin["prepared"].meta) if config.data_source == "csv" else None,
-        final_models=final_models,
+    return _run_result(
+        config, seed_index, run_seed, world, twin["prepared"], keep_records, **arm,
+        allocated=allocated, comparison_prices=comparison_prices, final_models=final_models,
     )
 
 

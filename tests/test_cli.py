@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from feedauction import cli
+from feedauction import cli, experiment
 from feedauction.cli import main
 from feedauction.config import ExperimentConfig
 from feedauction.dataio import load_examples, read_run
@@ -266,6 +266,25 @@ class TestPairedDeviationCommand:
         assert mechanism in captured.err
         assert captured.out == ""
 
+    def test_unwritable_out_exits_4_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # A bad path fails before the sweep, not after every seed has run and printed.
+        played, run_single = [], experiment.run_single
+
+        def counted_run(*args, **kwargs):
+            played.append(args)
+            return run_single(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_single", counted_run)
+        config = small_config(tmp_path, tmp_path / "runs")
+        out = tmp_path / "missing" / "profits.csv"
+        assert main(
+            ["paired-deviation", "--config", config, "--agent", "0", "--strategy", "always_high",
+             "--out", str(out)]
+        ) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error [io]")
+        assert captured.out == "" and played == []
+
 
 class TestReportCommand:
     @staticmethod
@@ -297,6 +316,19 @@ class TestReportCommand:
         with histogram.open() as handle:
             rows = list(csv.DictReader(handle))
         assert [row["agent"] for row in rows] == ["0", "1", "2"]
+
+    def test_unwritable_out_exits_4_before_any_ledger_is_parsed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        files = self.run_mechanisms(tmp_path, ["feedback"])
+        parsed = []
+        monkeypatch.setattr(cli, "read_run", lambda path: parsed.append(path))
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        assert main(["report", *files, "--out", str(blocker / "report")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error [io]")
+        assert parsed == []
 
     def test_mixed_configs_rejected_unless_forced(self, tmp_path, capsys):
         files_a = self.run_mechanisms(tmp_path, ["feedback"])

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feedauction import experiment
 from feedauction.agents import STRATEGY_KINDS
 from feedauction.config import ExperimentConfig
 from feedauction.dataio import generate_synthetic_dataset
@@ -135,7 +136,19 @@ def test_every_run_equals_the_per_round_loop(world):
     # deviates.
     config, prepared = world
     run = run_single(config, 0, prepared)
+    assert run.scaler_meta == (prepared.meta if config.data_source == "csv" else None)
     if config.mechanism in LEARNED:
+        # The same arm again without records: the twin that the first run played, and that
+        # its arm narrowed to the deviant, serves it from the cache, as in a sweep.
+        cached = experiment._TWIN["true_means"]
+        hit = run_single(config, 0, prepared, keep_records=False)
+        assert hit.true_means is cached and hit.contexts is None  # no twin was played again
+        for column in RUN_COLUMNS:
+            a, b = getattr(hit, column), getattr(run, column)
+            if column != "contexts":
+                assert a.dtype == b.dtype and np.array_equal(a, b), column
+        assert hit.final_models == run.final_models
+        assert hit.scaler_meta == run.scaler_meta
         expected = per_round_reference(config, run)
     else:
         expected = per_round_baseline_reference(config, run)
