@@ -242,12 +242,16 @@ def _ledger_columns(file_path: str) -> tuple[tuple, str, np.ndarray, np.ndarray,
     )
 
 
+def _require_writable_dir(directory: Path, target: str) -> None:
+    if not directory.is_dir() or not os.access(directory, os.W_OK | os.X_OK):
+        raise OSError(f"cannot write {target}: {directory} is not a writable directory")
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     # The output directory is checked before any ledger is parsed and made after every check.
     out_dir = Path(args.out)
     existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
-    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
-        raise OSError(f"cannot write CSVs to {out_dir}: {existing} is not a writable directory")
+    _require_writable_dir(existing, f"CSVs to {out_dir}")
     groups: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]] = {}
     signatures = set()
     for file_path in args.files:
@@ -297,6 +301,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
+    _require_writable_dir(Path(args.out).parent, args.out)  # before the corpus is generated
     examples = generate_synthetic_dataset(args.examples, args.features, args.seed)
     write_examples(args.out, examples)
     print(f"wrote {len(examples)} examples with {args.features} features to {args.out}")

@@ -29,7 +29,8 @@ from .core import CODE_VERSION, derive_seed, derive_stream
 from .dataio import CATEGORIES, FeatureScaler, LabeledExample, pca_fit, pca_transform
 from .learner import ValueModel
 from .mechanism import (
-    MechanismState, _clamped_scores, _explore, exploit_stretch, exploration_rate, run_round,
+    MechanismState, _clamped_scores, _explore, exploit_stretch, exploration_rate,
+    frozen_estimates, run_round,
 )
 from .metrics import _row_max, oracle_prices
 
@@ -79,10 +80,6 @@ class RunResult:
 
 
 _TRUTHFUL = Strategy()
-
-# The most frozen rounds a learned run plays in one exploit_stretch call. It
-# bounds the size of one block's gathered contexts and models.
-_BLOCK_ROUNDS = 256
 
 # The last truthful learned run made without records, for its deviant arms:
 # read-only copies of its _SHARED columns, its draws, models and contexts (a csv world's pool
@@ -234,9 +231,6 @@ def run_single(
     drops the contexts, which only the ledger reads; bulk sweeps use it. Each
     mechanism decides winners and prices; one assembly settles every run.
     """
-    # Built configs are already valid; this repeat is the run's entry check,
-    # which the benchmark's layer map times as ``config.validate``.
-    config.validate()
     run_seed = derive_seed(config.master_seed, f"run/{seed_index}")
     horizon, n_agents = config.horizon, config.n_agents
     learned = config.mechanism in ("feedback", "direct_regression")
@@ -273,11 +267,9 @@ def run_single(
         allocated[explored], comparison_prices[explored] = drawn_winners, drawn_prices
         draws = zip(drawn_winners.tolist(), drawn_prices.tolist())
         training, frozen = np.flatnonzero(explored), np.flatnonzero(~explored)
-        # An explored round trains only its winner's model. Row i of the
-        # table is that model as training round i left it, zeros until it is
-        # ready; the last row, never ready, is the prior.
+        # An explored round trains only its winner's model: row i of ``kept`` is that model as
+        # training round i left it, zeros until it is ready, and the last row is the prior.
         kept = np.zeros((training.size + 1, contexts.shape[2]))
-        kept_ready = np.zeros(training.size + 1, dtype=bool)
         oracle = _TruthfulOracle()
         for i, (ti, draw) in enumerate(zip(training.tolist(), draws)):
             oracle.utilities_now, round_contexts = utilities[ti], contexts[ti]
@@ -285,18 +277,13 @@ def run_single(
             record = learned_round(state, round_contexts, oracle, draw)
             model = state.models[record.allocated_agent]
             if model.sample_count >= model.min_samples:  # train fitted it: not stale
-                kept[i], kept_ready[i] = model.coefficients, True
-        # A frozen round reads each agent's model from the agent's last
-        # training round before it, or the prior's row (-1) until it has one.
-        last = np.full((horizon, n_agents), -1)
-        last[training, allocated[training]] = np.arange(training.size)
-        np.maximum.accumulate(last, axis=0, out=last)
-        for first in range(0, frozen.size, _BLOCK_ROUNDS):
-            rows = frozen[first:first + _BLOCK_ROUNDS]
-            read = last[rows]
-            estimates[rows], allocated[rows], comparison_prices[rows] = exploit_stretch(
-                kept[read], kept_ready[read], contexts[rows]
-            )
+                kept[i] = model.coefficients
+        # Each agent's table: the rows of the training rounds it won, then the prior's.
+        won = [np.flatnonzero(drawn_winners == agent) for agent in range(n_agents)]
+        tables = [(training[rows], kept[np.append(rows, -1)]) for rows in won]
+        estimates[frozen], allocated[frozen], comparison_prices[frozen] = exploit_stretch(
+            tables, contexts, frozen
+        )
         final_models = _model_records(state.models)
     else:
         uniform = config.mechanism == "uniform"
@@ -445,7 +432,7 @@ def _closed_form_replay(
 
     Row k of the table is the model after event k, fitted as ``ValueModel`` would: the running
     sums add in ``ingest``'s order, and one batched solve makes the same LAPACK call as ``fit``
-    on every row from the first ready one. One more row, read as row -1, is the prior.
+    on every row from the first ready one. One more row, last, is the prior.
     """
     count, dim = events.size, own.shape[1]
     samples = own[events]
@@ -457,10 +444,7 @@ def _closed_form_replay(
         table[first:count] = np.linalg.solve(
             grams[first:] + ValueModel.ridge * np.eye(dim), moments[first:, :, None]
         )[..., 0]
-    # Round t reads the row of the last event before t: run lengths of the rows in order.
-    read = np.repeat(np.arange(-1, count), np.diff(events, prepend=-1, append=column.size - 1))
-    ready = read >= dim - 1  # row k has k + 1 samples; the prior's row -1 is never ready
-    column[:] = np.where(ready, _clamped_scores(table[read], own), ValueModel.prior_estimate)
+    column[:] = frozen_estimates(events, table, np.arange(column.size), own)
     # Row count - 1 holds the lazily fitted coefficients, or, with no event, the prior's zeros.
     return dict(sample_count=count, coefficients=table[count - 1].tolist())
 

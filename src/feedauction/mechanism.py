@@ -14,11 +14,10 @@ price streams, so a run draws all of them before its first round. A model
 changes only in an explored round, so every other round is a second-price
 auction on frozen models. :func:`run_round` plays one explored round, given
 its exploration draw, and trains its winner's model; :func:`exploit_stretch`
-plays many frozen rounds at once, from stacked model coefficients, shared by
-every round or one set per round, which the caller gathers from the models
-that earlier explored rounds left. The uniform baseline is this mechanism at
-exploration rate 1 and makes the same exploration draw, for all of a run's
-rounds at once.
+plays many frozen rounds at once, each agent read from a table of the models
+its explored wins left (:func:`frozen_estimates`). The uniform baseline is
+this mechanism at exploration rate 1 and makes the same exploration draw, for
+all of a run's rounds at once.
 
 The mechanism observes agents only through a :class:`RoundOracle`: a yes/no
 comparison query. Realized utilities never enter any allocation, payment, or
@@ -45,6 +44,7 @@ __all__ = [
     "RoundOracle",
     "exploit_stretch",
     "exploration_rate",
+    "frozen_estimates",
     "parse_price_distribution",
     "run_round",
     "second_price",
@@ -163,7 +163,7 @@ class MechanismState:
     even when their agents report differently. The uniform baseline draws
     every round's winner and price from the same two streams in one batch,
     and no coin. The models are the only record of training: a caller that
-    plays frozen rounds stacks their coefficients itself.
+    plays frozen rounds keeps each agent's table of them itself.
     """
 
     config: ExperimentConfig
@@ -242,20 +242,30 @@ def run_round(
     return RoundRecord(allocated_agent=winner, explored=True, report=answer)
 
 
-def exploit_stretch(
-    coefficients: np.ndarray, ready: np.ndarray, contexts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Play a block of exploitation rounds on frozen models, all at once.
+def frozen_estimates(
+    events: np.ndarray, table: np.ndarray, rounds: np.ndarray, contexts: np.ndarray
+) -> np.ndarray:
+    """One agent's estimates in ``rounds``, at its ``contexts`` there, as ``predict`` gives them.
 
-    ``contexts`` is the block's (rounds, n_agents, dim) array. ``coefficients``
-    and ``ready`` are the models the rounds read, stacked by the caller:
-    (n_agents, dim) and (n_agents,) when every round reads the same models,
-    or one (n_agents, dim) and (n_agents,) row per round. Every round is
-    estimated exactly as ``ValueModel.predict`` would: the prior for an agent
-    that is not ready, else the linear score clamped to [0, 1]. Returns the
-    (rounds, n_agents) estimates and each round's winner and second price.
+    Row k of ``table`` is the agent's model after the k-th of its training rounds ``events``,
+    and the last row is the prior; both round arrays increase. Round t reads the row of the last
+    event before t: the prior until the model has ``dim`` samples, then the clamped score.
     """
-    estimates = np.where(ready, _clamped_scores(coefficients, contexts), ValueModel.prior_estimate)
+    starts = np.searchsorted(rounds, events, side="right")  # where each event's row is first read
+    read = np.repeat(np.arange(-1, events.size), np.diff(starts, prepend=0, append=rounds.size))
+    ready = read >= table.shape[1] - 1
+    return np.where(ready, _clamped_scores(table[read], contexts), ValueModel.prior_estimate)
+
+
+def exploit_stretch(tables: list[tuple], contexts, rounds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every agent's :func:`frozen_estimates` in ``rounds``, and each round's winner and price.
+
+    ``tables`` holds each agent's ``(events, table)``; ``contexts`` is indexed like the run's
+    (rounds, n_agents, dim) world and read one agent at a time.
+    """
+    estimates = np.empty((rounds.size, len(tables)))
+    for agent, (events, table) in enumerate(tables):
+        estimates[:, agent] = frozen_estimates(events, table, rounds, contexts[rounds, agent])
     winners, prices = second_price(estimates)
     return estimates, winners, prices
 

@@ -4,9 +4,9 @@ These deliberately avoid the library's own code paths: the Jacobi
 eigensolver checks the power-iteration PCA's variances, the per-component
 power iteration checks its steps, the dense least-squares solver
 checks the incremental sufficient-statistics fit, and the per-round loops
-check the engine that plays frozen rounds in batches, from a table of the
-models its training rounds left, and the baselines that decide a whole run in
-one call.
+check the engine that plays all of a run's frozen rounds at once, each agent
+read from a table of the models its training rounds left, and the baselines
+that decide a whole run in one call.
 """
 
 import numpy as np
@@ -110,7 +110,7 @@ def dense_ridge_solve(design: np.ndarray, targets: np.ndarray, ridge: float) -> 
 def per_round_reference(config, run):
     """Replay a learned run with the per-round loop: coin, estimates and refit in each round.
 
-    The engine plays the rounds between training rounds in batches, each
+    The engine plays the rounds between training rounds all at once, each
     agent read from the table row of its last training round; this loop
     plays every round on its own, drawing the round's coin inside the round
     and refitting models lazily through ``ValueModel.predict``, as the engine

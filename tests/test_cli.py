@@ -164,6 +164,23 @@ class TestGenDataAndCsvRuns:
         assert main(["run", "--config", config]) == 3
         assert capsys.readouterr().err.startswith("error [data]")
 
+    @pytest.mark.parametrize("parent", ("missing", "a_file"))
+    def test_unwritable_gen_data_out_exits_4_before_generating(
+        self, tmp_path, capsys, monkeypatch, parent
+    ):
+        # A bad path fails before the corpus is generated, not after.
+        generated = []
+        monkeypatch.setattr(cli, "generate_synthetic_dataset", lambda *args: generated.append(args))
+        (tmp_path / "a_file").write_text("")
+        out = tmp_path / parent / "corpus.csv"
+        argv = ["gen-data", "--out", str(out), "--examples", "200000", "--features", "60"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error [io] cannot write {out}: {tmp_path / parent} is not a writable directory\n"
+        )
+        assert captured.out == "" and generated == []
+
     @pytest.mark.parametrize(
         "argv",
         [["--examples", "0"], ["--features", "5"], ["--seed", "-1"]],

@@ -177,8 +177,8 @@ def prepared(corpus):
 class TestBatchedEngine:
     """The engine replays the per-round loop.
 
-    It plays the frozen rounds in blocks, each agent read from the table row
-    of its last training round. So does a deviant arm, built from its
+    It plays the frozen rounds in one auction, each agent read from the table
+    row of its last training round. So does a deviant arm, built from its
     truthful twin and a replay of the deviant's model.
     """
 
@@ -209,7 +209,8 @@ class TestBatchedEngine:
                 assert found.dtype == expected.dtype, (column, price, strategy)
                 assert np.array_equal(found, expected), (column, price, strategy)
 
-    BLOCK = experiment._BLOCK_ROUNDS
+    # A stretch of frozen rounds this long is far longer than most in the runs below.
+    LONG = 256
 
     @staticmethod
     def assert_replays(config, prepared=None):
@@ -223,7 +224,7 @@ class TestBatchedEngine:
         return run
 
     @staticmethod
-    def block_config(**overrides):
+    def arm_config(**overrides):
         base = dict(
             horizon=1500, n_agents=4, dim=3, master_seed=63,
             deviant_index=2, deviant_strategy="threshold_shift:-0.2",
@@ -231,58 +232,32 @@ class TestBatchedEngine:
         base.update(overrides)
         return ExperimentConfig(**base)
 
-    @pytest.mark.parametrize("offset", (-1, 0, 1))
-    def test_horizons_around_one_block(self, offset):
-        for strategy in ("truthful", "random:0.5", "inverted"):
-            self.assert_replays(
-                self.block_config(horizon=self.BLOCK + offset, deviant_strategy=strategy)
-            )
-
-    def test_a_frozen_stretch_spans_several_blocks(self):
+    def test_a_long_frozen_stretch(self):
         # Forty rounds of exploration ready every model, then few train.
-        config = self.block_config(
-            horizon=4 * self.BLOCK, schedule_kind="constant", eta_constant=0.0005,
-            floor_rounds=40,
+        config = self.arm_config(
+            horizon=1024, schedule_kind="constant", eta_constant=0.0005, floor_rounds=40,
         )
         run = self.assert_replays(config)
         training = np.flatnonzero(run.explored)
         gaps = np.diff(np.concatenate([training, [config.horizon]]))
-        assert gaps.max() > 2 * self.BLOCK
+        assert gaps.max() > 2 * self.LONG
         assert all(model["sample_count"] >= config.dim for model in run.final_models)
 
-    def test_training_rounds_on_block_edges(self):
-        # A training round that opens a block after a frozen round, and one
-        # that closes a block before a frozen round.
-        edge = self.BLOCK
-        opens = closes = False
-        for seed in range(64, 100):
-            config = self.block_config(
-                horizon=edge + 200, schedule_kind="constant", eta_constant=0.3, master_seed=seed
-            )
-            run = run_single(config, 0, keep_records=False)
-            found_open = run.explored[edge] and not run.explored[edge - 1]
-            found_close = run.explored[edge - 1] and not run.explored[edge]
-            if (found_open and not opens) or (found_close and not closes):
-                self.assert_replays(config)
-                opens, closes = opens or found_open, closes or found_close
-            if opens and closes:
-                break
-        assert opens and closes
-
-    def test_a_model_becomes_ready_inside_a_block(self):
-        config = self.block_config(
-            horizon=3 * self.BLOCK, dim=6, schedule_kind="constant", eta_constant=0.05
+    def test_a_model_becomes_ready_between_frozen_rounds(self):
+        config = self.arm_config(
+            horizon=768, dim=6, schedule_kind="constant", eta_constant=0.05
         )
         run = self.assert_replays(config)
-        # An agent is ready at its dim-th training round; find one whose
-        # block has frozen rounds on both sides of that round.
+        # An agent is ready at its dim-th training round; its column reads the
+        # prior in the frozen rounds just before that round and its fitted
+        # model in those just after.
         inside = []
         for agent in range(config.n_agents):
             won = np.flatnonzero(run.explored & (run.allocated == agent))
             ready_at = int(won[config.dim - 1])
-            start = ready_at - ready_at % self.BLOCK
-            frozen = np.flatnonzero(~run.explored[start:start + self.BLOCK]) + start
-            inside.append(frozen.min() < ready_at < frozen.max())
+            before = ~run.explored[ready_at - 5:ready_at]
+            after = ~run.explored[ready_at + 1:ready_at + 6]
+            inside.append(before.any() and after.any())
         assert any(inside)
 
     @pytest.mark.parametrize("strategy", ("random:0", "random:0.5", "random:1"))
@@ -290,7 +265,7 @@ class TestBatchedEngine:
         # The deviant first, in the middle and last, under both price rules.
         for deviant, price in itertools.product((0, 2, 3), ("uniform", "fixed:0.4")):
             self.assert_replays(
-                self.block_config(
+                self.arm_config(
                     deviant_index=deviant, deviant_strategy=strategy, price_distribution=price
                 )
             )
@@ -299,21 +274,21 @@ class TestBatchedEngine:
         # Nine rounds in ten explore, so the replay counts the deviant's
         # exploitation wins over many gaps of one frozen round between its
         # events.
-        config = self.block_config(
-            horizon=8 * self.BLOCK, schedule_kind="constant", eta_constant=0.9,
+        config = self.arm_config(
+            horizon=2048, schedule_kind="constant", eta_constant=0.9,
             deviant_strategy="random:0.5",
         )
         run = self.assert_replays(config)
         frozen = np.flatnonzero(~run.explored)
         assert (run.allocated[frozen] == config.deviant_index).any()
 
-    def test_a_random_deviant_waits_out_a_full_block(self):
-        # Over _BLOCK_ROUNDS frozen rounds, some of them won by the deviant,
-        # lie between two training rounds that the deviant wins: the twin
-        # plays them in more than one block, and the replay counts the
-        # deviant's wins among them in one step.
-        config = self.block_config(
-            horizon=4 * self.BLOCK, schedule_kind="constant", eta_constant=0.02,
+    def test_a_random_deviant_waits_out_a_long_stretch(self):
+        # Over LONG frozen rounds, some of them won by the deviant, lie
+        # between two training rounds that the deviant wins, with training
+        # rounds of other agents among them: the twin's models change within
+        # them, and the replay counts the deviant's wins among them in one step.
+        config = self.arm_config(
+            horizon=1024, schedule_kind="constant", eta_constant=0.02,
             deviant_strategy="random:0.5",
         )
         run = self.assert_replays(config)
@@ -323,9 +298,8 @@ class TestBatchedEngine:
         waits = []
         for first, last in zip(won, won[1:]):
             frozen = np.flatnonzero(~explored[first + 1:last]) + first + 1
-            if frozen.size >= self.BLOCK and (run.allocated[frozen] == deviant).any():
-                after_block = (training > frozen[self.BLOCK - 1]) & (training < last)
-                waits.append(after_block.any())
+            if frozen.size >= self.LONG and (run.allocated[frozen] == deviant).any():
+                waits.append(((training > first) & (training < last)).any())
         assert any(waits)
 
     def test_a_deviant_arm_trains_only_the_deviant(self, monkeypatch):
@@ -355,7 +329,7 @@ class TestBatchedEngine:
         # Right after its twin, an arm whose answers do not depend on query order plays no
         # round and neither ingests nor fits: its model comes from running sums and one
         # batched solve.
-        config = self.block_config(
+        config = self.arm_config(
             mechanism=mechanism_name, deviant_index=0, deviant_strategy=strategy
         )
         truthful = config.replace(deviant_index=None, deviant_strategy="truthful")
@@ -371,43 +345,24 @@ class TestBatchedEngine:
 
     def test_many_one_round_stretches(self):
         # Nine rounds in ten explore, so most stretches of frozen rounds are
-        # one round long: the first block of frozen rounds reads the models
-        # of over 200 stretches, and the run has more stretches than a block
-        # has rounds.
-        config = self.block_config(
-            horizon=16 * self.BLOCK, schedule_kind="constant", eta_constant=0.9
-        )
+        # one round long, and each agent's column reads a new row in many of
+        # them.
+        config = self.arm_config(horizon=4096, schedule_kind="constant", eta_constant=0.9)
         run = self.assert_replays(config)
         frozen = np.flatnonzero(~run.explored)
-        stretches = np.flatnonzero(np.diff(frozen) > 1) + 1  # positions where a stretch starts
-        assert stretches.size + 1 > self.BLOCK
-        assert (stretches < self.BLOCK).sum() + 1 > 200
+        starts = np.flatnonzero(np.diff(frozen, prepend=-2) > 1)  # where each stretch starts
+        lengths = np.diff(starts, append=frozen.size)
+        assert starts.size > self.LONG
+        assert (lengths == 1).sum() > 200
 
-    def test_exactly_one_block_of_frozen_rounds(self):
-        # _BLOCK_ROUNDS frozen rounds before a training round, and a run that
-        # stops on its _BLOCK_ROUNDS-th frozen round.
-        for seed in range(64, 100):
-            config = self.block_config(
-                horizon=4 * self.BLOCK, schedule_kind="constant", eta_constant=0.5,
-                master_seed=seed,
-            )
-            run = run_single(config, 0, keep_records=False)
-            last = int(np.flatnonzero(~run.explored)[self.BLOCK - 1])
-            if run.explored[last + 1]:
-                break
-        assert run.explored[last + 1]
-        self.assert_replays(config)
-        short = self.assert_replays(config.replace(horizon=last + 1))
-        assert (~short.explored).sum() == self.BLOCK and not short.explored[-1]
-
-    def test_a_random_deviants_last_stretch_spans_several_chunks(self):
-        config = self.block_config(
-            horizon=4 * self.BLOCK, schedule_kind="constant", eta_constant=0.0005,
+    def test_a_random_deviants_long_last_stretch(self):
+        config = self.arm_config(
+            horizon=1024, schedule_kind="constant", eta_constant=0.0005,
             floor_rounds=40, deviant_strategy="random:0.5",
         )
         run = self.assert_replays(config)
         last_training = np.flatnonzero(run.explored)[-1]
-        assert config.horizon - 1 - last_training > 2 * self.BLOCK
+        assert config.horizon - 1 - last_training > 2 * self.LONG
         assert (run.allocated[last_training + 1:] == config.deviant_index).any()
 
     @pytest.mark.parametrize("master_seed", (3, 8, 9))
@@ -432,9 +387,9 @@ class TestBatchedEngine:
     )
     def test_runs_without_a_frozen_round(self, mechanism_name, overrides):
         # Every round explores, at a constant rate of 1 or within the floor
-        # rounds, so no block of frozen rounds is played.
+        # rounds, so no frozen round is played.
         for strategy in ("truthful", "threshold_shift:-0.2", "random:0.5"):
-            config = self.block_config(
+            config = self.arm_config(
                 mechanism=mechanism_name, deviant_strategy=strategy, **overrides
             )
             run = self.assert_replays(config)
@@ -452,7 +407,7 @@ class TestBatchedEngine:
             (0, 3), ("always_low", "threshold_shift:0.2", "random:0", "random:1")
         ):
             self.assert_replays(
-                self.block_config(
+                self.arm_config(
                     mechanism=mechanism_name, price_distribution=price,
                     deviant_index=deviant, deviant_strategy=strategy,
                 )
@@ -469,7 +424,7 @@ class TestBatchedEngine:
         # the agent stream alone, so the count holds for every mechanism, price rule and
         # strategy.
         for seed in range(64, 400):
-            config = self.block_config(
+            config = self.arm_config(
                 horizon=400, dim=4, schedule_kind="constant", eta_constant=0.04,
                 floor_rounds=1, master_seed=seed, **overrides,
             )
@@ -507,7 +462,7 @@ class TestBatchedEngine:
         # still on the prior are auctioned: the lowest index wins the tie.
         for deviant, strategy in itertools.product((0, 3), self.REPLAYED):
             run = self.assert_replays(
-                self.block_config(
+                self.arm_config(
                     horizon=400, schedule_kind="constant", eta_constant=0.3, floor_rounds=1,
                     mechanism=mechanism_name, price_distribution=price,
                     deviant_index=deviant, deviant_strategy=strategy,
@@ -524,7 +479,7 @@ class TestBatchedEngine:
         # estimates clamp to 0.0, where an always_low deviant ties with the others.
         # direct_regression trains on utilities, which the price does not move.
         for deviant, strategy in itertools.product((0, 3), ("always_low", "always_high")):
-            config = self.block_config(
+            config = self.arm_config(
                 mechanism=mechanism_name, price_distribution=price,
                 deviant_index=deviant, deviant_strategy=strategy,
             )
@@ -541,8 +496,8 @@ class TestBatchedEngine:
         corpus_30 = generate_synthetic_dataset(300, 32, 3)
         prepared_30 = prepare_dataset(corpus_30, 30)
         for deviant, strategy in itertools.product((0, 5), ("inverted", "random:0.5")):
-            config = self.block_config(
-                horizon=2 * self.BLOCK + 100, n_agents=6, mechanism=mechanism_name,
+            config = self.arm_config(
+                horizon=612, n_agents=6, mechanism=mechanism_name,
                 price_distribution=price, deviant_index=deviant, deviant_strategy=strategy,
                 data_source="csv", data_path="corpus.csv", pca_components=30,
             )
@@ -551,8 +506,8 @@ class TestBatchedEngine:
 
     def test_a_csv_world_at_dimension_30(self):
         corpus_30 = generate_synthetic_dataset(300, 32, 3)
-        config = self.block_config(
-            horizon=2 * self.BLOCK + 100, n_agents=6,
+        config = self.arm_config(
+            horizon=612, n_agents=6,
             data_source="csv", data_path="corpus.csv", pca_components=30,
         )
         run = self.assert_replays(config, prepare_dataset(corpus_30, 30))

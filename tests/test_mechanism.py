@@ -15,6 +15,7 @@ from feedauction.mechanism import (
     _explore,
     exploit_stretch,
     exploration_rate,
+    frozen_estimates,
     run_round,
     second_price,
 )
@@ -47,13 +48,19 @@ def new_state(n_agents, dim, seed, kind="slow", **changes):
     return MechanismState.create(schedule(kind, n_agents, **changes), dim, seed)
 
 
-def stacked(state):
-    # The state's models as exploit_stretch reads them: each ready model's
-    # coefficients, and a zero row for one that is not (its coefficients
-    # property would refit it).
-    ready = np.array([m.sample_count >= m.min_samples for m in state.models])
-    rows = [m.coefficients if r else np.zeros(m.dim) for m, r in zip(state.models, ready)]
-    return np.array(rows), ready
+def kept_row(model):
+    # A model's row in its agent's table, as a run keeps it: its coefficients
+    # once it is ready, else zeros (its coefficients property would refit it).
+    return model.coefficients if model.sample_count >= model.min_samples else np.zeros(model.dim)
+
+
+def tables_of(events, rows, dim):
+    # Each agent's (events, table) from its training rounds and kept rows,
+    # with the prior's row last.
+    return [
+        (np.array(agent_events, dtype=int), np.array([*agent_rows, np.zeros(dim)]))
+        for agent_events, agent_rows in zip(events, rows)
+    ]
 
 
 def coins(state, rounds):
@@ -220,65 +227,88 @@ class TestSecondPrice:
 
 class TestExploitStretch:
     @staticmethod
-    def trained_state(seed, n_agents=4, dim=3, samples=(0, 2, 3, 40)):
-        # Models at and around min_samples (= dim): the first two stay on the prior.
+    def trained_run(seed, n_agents=4, dim=3, horizon=300, rate=0.1):
+        # Random rounds train a random agent but the last, which stays on the
+        # prior; every other round records each model's predict. Returns the
+        # contexts, the frozen rounds, the agents' tables and those predictions.
         state = new_state(n_agents, dim, seed, "constant", eta_constant=1.0)
         rng = np.random.Generator(np.random.PCG64(seed))
-        for agent, count in enumerate(samples):
-            for _ in range(count):
-                state.train(agent, rng.dirichlet(np.ones(dim)), float(rng.random() < 0.5))
-        return state
+        contexts = rng.dirichlet(np.ones(dim), size=(horizon, n_agents))
+        training = rng.random(horizon) < rate
+        events, rows = [[] for _ in range(n_agents)], [[] for _ in range(n_agents)]
+        predicted = []
+        for t in range(horizon):
+            if training[t]:
+                agent = int(rng.integers(n_agents - 1))
+                state.train(agent, contexts[t, agent], float(rng.random() < 0.5))
+                events[agent].append(t)
+                rows[agent].append(kept_row(state.models[agent]))
+            else:
+                predicted.append([m.predict(c) for m, c in zip(state.models, contexts[t])])
+        tables = tables_of(events, rows, dim)
+        return contexts, np.flatnonzero(~training), tables, np.array(predicted)
 
     def test_estimates_equal_per_agent_predict_bit_for_bit(self):
         for seed in range(5):
-            state = self.trained_state(seed)
-            contexts = np.random.Generator(np.random.PCG64(100 + seed)).dirichlet(
-                np.ones(3), size=(300, 4)
-            )
-            coefficients, ready = stacked(state)
-            estimates, winners, prices = exploit_stretch(coefficients, ready, contexts)
-            expected = np.array(
-                [[m.predict(c) for m, c in zip(state.models, row)] for row in contexts]
-            )
+            contexts, frozen, tables, expected = self.trained_run(seed)
+            estimates, winners, prices = exploit_stretch(tables, contexts, frozen)
             assert estimates.tobytes() == expected.tobytes()
             for row, winner, price in zip(expected, winners, prices):
                 assert second_price(row) == (winner, price)
-        assert not ready[:2].any() and ready[2:].all()
+            # Each trained agent reads the prior and then fitted rows; the last reads only the prior.
+            counts = [events.size for events, _ in tables]
+            assert min(counts[:-1]) >= 3 and counts[-1] == 0
+            assert (estimates[:, :-1] == ValueModel.prior_estimate).any(axis=0).all()
+            np.testing.assert_array_equal(estimates[:, -1], ValueModel.prior_estimate)
 
-    def test_per_round_models_equal_one_call_per_model_set(self):
-        # Rounds that read different stacked models, gathered into one call,
-        # get the estimates of one call per set of models.
-        # The first set holds fitted coefficients but reads every agent at the prior.
-        stacks = [stacked(self.trained_state(seed, samples=(0, 3, 5, 40))) for seed in range(3)]
-        stacks[0] = (stacks[0][0], np.zeros(4, dtype=bool))
-        rng = np.random.Generator(np.random.PCG64(7))
-        contexts = rng.dirichlet(np.ones(3), size=(200, 4))
-        which = rng.integers(len(stacks), size=200)
-        coefficients = np.stack([stack[0] for stack in stacks])[which]
-        ready = np.stack([stack[1] for stack in stacks])[which]
-        estimates, winners, prices = exploit_stretch(coefficients, ready, contexts)
-        for k, stack in enumerate(stacks):
-            rows = which == k
-            expected = exploit_stretch(*stack, contexts[rows])
-            assert estimates[rows].tobytes() == expected[0].tobytes()
-            np.testing.assert_array_equal(winners[rows], expected[1])
-            assert prices[rows].tobytes() == expected[2].tobytes()
+    def test_gathers_one_agents_contexts_at_a_time(self):
+        # A csv world gathers only the rows it is asked for, so the stretch
+        # asks for one agent's contexts at a time, never for all agents' at once.
+        contexts, frozen, tables, expected = self.trained_run(0)
+        keys = []
+
+        class RecordedWorld:
+            def __getitem__(self, key):
+                keys.append(key)
+                return contexts[key]
+
+        estimates, _, _ = exploit_stretch(tables, RecordedWorld(), frozen)
+        assert estimates.tobytes() == expected.tobytes()
+        assert [agent for _, agent in keys] == [0, 1, 2, 3]
+        assert all(rounds is frozen for rounds, _ in keys)
+
+    def test_an_agent_reads_the_row_of_its_last_event_before_each_round(self):
+        # Row k is the model after event k; the last row is the prior.
+        events, dim = np.array([2, 5, 6]), 1
+        table = np.array([[0.0], [0.3], [0.7], [0.0]])
+        rounds = np.arange(9)
+        estimates = frozen_estimates(events, table, rounds, np.ones((9, dim)))
+        # Rounds 0-2 read the prior; 3-5 read row 0, ready at dim = 1 sample;
+        # round 6 reads row 1; rounds 7 and 8 read row 2.
+        np.testing.assert_array_equal(
+            estimates, [0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.3, 0.7, 0.7]
+        )
 
     def test_prior_and_clamped_rows(self):
         state = new_state(3, 2, 5)
         for model, coefficients in zip(state.models[1:], ([3.0, -2.0], [-1.0, 0.25])):
             model.ingest_batch(np.eye(2), np.zeros(2))
             model._coef, model._stale = np.array(coefficients), False
-        coefficients, ready = stacked(state)
-        np.testing.assert_array_equal(ready, [False, True, True])
-        # Agent 0 is on the prior. Agent 1 scores 3, -2 and 0.5; agent 2
-        # scores -1, a sum of two -0.0 products, and 0.25.
+        # Agent 0 has no event and stays on the prior. Agents 1 and 2 are
+        # ready from their second event, in round 1.
+        tables = [(np.array([], dtype=int), np.zeros((1, 2)))] + [
+            (np.array([0, 1]), np.array([np.zeros(2), kept_row(model), np.zeros(2)]))
+            for model in state.models[1:]
+        ]
+        # Agent 1 scores 3, -2 and 0.5; agent 2 scores -1, a sum of two -0.0
+        # products, and 0.25.
         contexts = np.array([
             [[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]],
             [[0.5, 0.5], [0.0, 1.0], [0.0, -0.0]],
             [[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]],
         ])
-        estimates, _, _ = exploit_stretch(coefficients, ready, contexts)
+        world = np.concatenate([np.zeros((2, 3, 2)), contexts])
+        estimates, _, _ = exploit_stretch(tables, world, np.arange(2, 5))
         expected = np.array(
             [[m.predict(c) for m, c in zip(state.models, row)] for row in contexts]
         )
@@ -290,30 +320,45 @@ class TestExploitStretch:
 
     def test_training_fits_only_ready_models(self, monkeypatch):
         # train fits a model at each sample from its min_samples-th on, so a
-        # ready model is never stale and stacking it fits nothing.
+        # ready model is never stale: keeping its row fits nothing, and
+        # neither does reading the table.
         fitted, fit = [], ValueModel.fit
         monkeypatch.setattr(ValueModel, "fit", lambda model: fitted.append(model) or fit(model))
         state = new_state(2, 2, 3)
         state.train(0, np.array([0.5, 0.5]), 1.0)
-        coefficients, ready = stacked(state)
-        assert not ready[0] and state.models[0].sample_count == 1
-        np.testing.assert_array_equal(coefficients[0], 0.0)
+        rows = [kept_row(state.models[0])]
+        np.testing.assert_array_equal(rows[0], 0.0)
         assert fitted == []
         state.train(0, np.array([0.2, 0.8]), 0.0)
         state.train(1, np.array([0.4, 0.6]), 1.0)
-        coefficients, ready = stacked(state)
-        assert ready[0] and not ready[1]
-        np.testing.assert_array_equal(coefficients[0], state.models[0].coefficients)
+        rows.append(kept_row(state.models[0]))
+        np.testing.assert_array_equal(kept_row(state.models[1]), 0.0)
+        assert fitted == [state.models[0]]
         state.train(0, np.array([0.9, 0.1]), 1.0)
         assert fitted == [state.models[0]] * 2
+        (events, table), = tables_of([[0, 1]], [rows], 2)
+        frozen_estimates(events, table, np.arange(2, 6), np.full((4, 2), 0.5))
+        assert fitted == [state.models[0]] * 2
+
+    def test_a_run_fits_each_model_once_per_training_round_from_ready_on(self, monkeypatch):
+        # Every model becomes ready; its frozen rounds read the kept rows and
+        # fit nothing.
+        fitted, fit = [], ValueModel.fit
+        monkeypatch.setattr(ValueModel, "fit", lambda model: fitted.append(model) or fit(model))
+        config = schedule("constant", 3, eta_constant=0.3, horizon=400, dim=2)
+        run = run_single(config, 0, keep_records=False)
+        wins = np.bincount(run.allocated[run.explored], minlength=3)
+        assert wins.min() >= config.dim and (~run.explored).sum() > 200
+        assert len(fitted) == (wins - config.dim + 1).sum()
 
 
 class TestRunRound:
     """An explored round trains its winner on the winner's report.
 
     Exploitation is ``second_price`` over ``exploit_stretch``'s estimates,
-    which TestSecondPrice and TestExploitStretch check, and
-    TestExploitationColumns checks in a run's columns.
+    each agent's read from the models its explored wins left, which
+    TestSecondPrice and TestExploitStretch check, and TestExploitationColumns
+    checks in a run's columns.
     """
 
     def test_an_explored_round_trains_only_its_winner(self):
@@ -356,24 +401,29 @@ class TestRunRound:
         # Two worlds with wildly different utilities but identical scripted
         # answers must produce identical decisions: the only agent channel the
         # mechanism has is the comparison report. Explored rounds train
-        # through run_round, and the others are auctions on the frozen models.
+        # through run_round, and the others are auctions on the frozen models
+        # that the explored rounds left.
         def play(utilities):
             state = new_state(3, 3, 58)
             oracle = ScriptedOracle(
                 lambda a, c: (a + int(c * 100)) % 3 == 0, utilities=utilities
             )
-            rng = np.random.Generator(np.random.PCG64(4))
+            contexts = np.random.Generator(np.random.PCG64(4)).dirichlet(
+                np.ones(3), size=(400, 3)
+            )
             explored, draws = explored_draws(state, 400)
-            rows = []
-            for coin in explored:
-                contexts = rng.dirichlet(np.ones(3), size=3)
-                if coin:
-                    record = run_round(state, contexts, oracle, next(draws))
-                    rows.append((record.allocated_agent, record.report))
-                else:
-                    _, winners, prices = exploit_stretch(*stacked(state), contexts[None])
-                    rows.append((int(winners[0]), float(prices[0])))
-            return rows
+            events, rows, decisions = [[], [], []], [[], [], []], {}
+            for t in np.flatnonzero(explored).tolist():
+                record = run_round(state, contexts[t], oracle, next(draws))
+                winner = record.allocated_agent
+                events[winner].append(t)
+                rows[winner].append(kept_row(state.models[winner]))
+                decisions[t] = (winner, record.report)
+            frozen = np.flatnonzero(~explored)
+            _, winners, prices = exploit_stretch(tables_of(events, rows, 3), contexts, frozen)
+            decisions.update(zip(frozen.tolist(), zip(winners.tolist(), prices.tolist())))
+            assert frozen.size > 100 and min(map(len, events)) >= 3
+            return [decisions[t] for t in range(400)]
 
         assert play([0.01, 0.02, 0.03]) == play([0.99, 0.98, 0.97])
 
@@ -396,7 +446,9 @@ class TestRunRound:
         np.testing.assert_array_equal(yes_explored, no_explored)
         assert yes_draws == no_draws
         assert stream_states(yes_state) == stream_states(no_state)
-        assert not np.array_equal(stacked(yes_state)[0], stacked(no_state)[0])
+        assert not np.array_equal(
+            [kept_row(m) for m in yes_state.models], [kept_row(m) for m in no_state.models]
+        )
 
 
 class TestExplorationColumns:
@@ -496,7 +548,9 @@ class TestExploitationColumns:
         with pytest.raises(ConfigError, match="agents.count"):
             ExperimentConfig(n_agents=1, mechanism="feedback")
         with pytest.raises(ValueError):
-            exploit_stretch(np.zeros((1, 2)), np.zeros(1, dtype=bool), np.ones((4, 1, 2)))
+            exploit_stretch(
+                [(np.array([0]), np.zeros((2, 2)))], np.ones((4, 1, 2)), np.arange(1, 4)
+            )
 
     @pytest.mark.parametrize("mechanism_name, strategy", LEARNED_ARMS)
     def test_payment_never_exceeds_winner_estimate(self, mechanism_name, strategy):
