@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ConfigurationError, RoundRecord
-from .mechanism import MechanismState, RoundOracle, _explore, run_round, second_price
+from .mechanism import MechanismState, _explore, run_round, second_price
 
 __all__ = [
     "direct_regression_round",
@@ -33,24 +33,20 @@ def oracle_round(true_means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def direct_regression_round(
-    state: MechanismState,
-    contexts: np.ndarray,
-    oracle: RoundOracle,
-    draw: tuple[int, float],
+    state: MechanismState, contexts: np.ndarray, winner: int, target: float
 ) -> RoundRecord:
     """One explored round of the exact-value regression baseline.
 
     Identical to the feedback mechanism's round in every pre- and
-    post-condition except that model training targets the realized utility
-    rather than the binary report, which :func:`run_round` does exactly when
-    the state's config names this mechanism. ``draw`` is the round's
-    exploration draw, as for ``run_round``.
+    post-condition; only the driver's target differs, the winner's realized
+    utility rather than its binary report, which is why the state's config
+    must name this mechanism.
     """
     if state.config.mechanism != "direct_regression":
         raise ConfigurationError(
             "direct regression needs a state whose config has mechanism = direct_regression"
         )
-    return run_round(state, contexts, oracle, draw)
+    return run_round(state, contexts, winner, target)
 
 
 def uniform_round(state: MechanismState, rounds: int) -> tuple[np.ndarray, np.ndarray]:

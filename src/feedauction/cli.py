@@ -58,30 +58,23 @@ def write_regret_csv(
     revenue_stderr: np.ndarray,
 ) -> None:
     """Plot-ready cumulative-regret curves: one row per round."""
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "welfare_mean", "welfare_stderr", "revenue_mean", "revenue_stderr"])
-        for i in range(welfare_mean.shape[0]):
-            writer.writerow(
-                [
-                    i + 1,
-                    repr(float(welfare_mean[i])),
-                    repr(float(welfare_stderr[i])),
-                    repr(float(revenue_mean[i])),
-                    repr(float(revenue_stderr[i])),
-                ]
-            )
+    header = ["t", "welfare_mean", "welfare_stderr", "revenue_mean", "revenue_stderr"]
+    rounds = np.arange(1, welfare_mean.shape[0] + 1)
+    _write_csv(path, header, rounds, welfare_mean, welfare_stderr, revenue_mean, revenue_stderr)
 
 
 def write_histogram_csv(path: Path, loss_mean: np.ndarray, loss_stderr: np.ndarray) -> None:
     """Per-agent welfare-loss histogram: one row per agent."""
+    header = ["agent", "welfare_loss_mean", "welfare_loss_stderr"]
+    _write_csv(path, header, np.arange(loss_mean.shape[0]), loss_mean, loss_stderr)
+
+
+def _write_csv(path: Path, header: list[str], *columns: np.ndarray) -> None:
+    # One row per element of the columns; csv writes a float as its repr.
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["agent", "welfare_loss_mean", "welfare_loss_stderr"])
-        for agent in range(loss_mean.shape[0]):
-            writer.writerow(
-                [agent, repr(float(loss_mean[agent])), repr(float(loss_stderr[agent]))]
-            )
+        writer.writerow(header)
+        writer.writerows(zip(*(column.tolist() for column in columns)))
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -301,7 +294,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    _require_writable_dir(Path(args.out).parent, args.out)  # before the corpus is generated
+    out = Path(args.out)
+    if out.is_dir():  # checked, as its parent is, before the corpus is generated
+        raise OSError(f"cannot write {out}: it is a directory")
+    _require_writable_dir(out.parent, args.out)
     examples = generate_synthetic_dataset(args.examples, args.features, args.seed)
     write_examples(args.out, examples)
     print(f"wrote {len(examples)} examples with {args.features} features to {args.out}")

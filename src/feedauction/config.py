@@ -7,7 +7,7 @@ rejected by name, and every effective parameter (explicit or defaulted) is
 echoed into run metadata so a run file fully describes how it was produced.
 
 An :class:`ExperimentConfig` is validated when it is built, so every config
-that exists is one the mechanism, the world and the report oracle can read
+that exists is one the mechanism, the world and the agents' reports can read
 directly; a bad value raises :class:`ConfigError` naming its key.
 """
 

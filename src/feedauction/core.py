@@ -96,14 +96,13 @@ def derive_stream(master_seed: int, name: str) -> RngStream:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one training round decided: its winner and the winner's report.
+    """What one training round decided: its winner.
 
     ``explored`` is always true, since only explored rounds train; the
-    benchmark's layer map counts explored rounds by it. The driver reads
-    only the winner. Ground truth (realized utilities, oracle prices) never
-    passes through a round; the driver keeps it in the run's columns.
+    benchmark's layer map counts explored rounds by it. Ground truth
+    (realized utilities, oracle prices) and the winner's report never pass
+    through a round; the driver keeps them in the run's columns.
     """
 
     allocated_agent: int
     explored: bool
-    report: bool

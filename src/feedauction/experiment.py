@@ -9,10 +9,12 @@ paired deviation measurements low-variance, and lets a deviant arm reuse its
 truthful twin's columns, kept in a one-entry cache. The cache never changes
 a result: a run is still a pure function of (config, seed index, corpus).
 
-The driver is also the only component that touches ground truth. Mechanisms
-see agents through the report oracle alone; realized utilities and oracle
-prices stay in the run's columns, next to each round's decisions. Every run
-ends in one assembly that settles its payments and asks its winners' reports.
+The driver is also the only component that touches ground truth. It derives
+every training target of a run in one batch (:func:`_training_targets`), and
+mechanisms see agents through those targets alone; realized utilities and
+oracle prices stay in the run's columns, next to each round's decisions.
+Every run ends in one assembly that settles its payments and asks its
+winners' reports.
 """
 
 from __future__ import annotations
@@ -91,16 +93,19 @@ _TWIN: dict[str, Any] = {}
 _SHARED = ("true_means", "utilities", "oracle_second_prices", "estimates", "explored", "eta")
 
 
-class _TruthfulOracle:
-    """A training round's answers, all truthful: a learned run with a deviant replays its twin."""
+def _training_targets(
+    config: ExperimentConfig, strategy: Strategy, won: np.ndarray, prices: np.ndarray
+) -> np.ndarray:
+    """What explored winners whose utilities are ``won`` train on, at comparison ``prices``.
 
-    __slots__ = ("utilities_now",)
-
-    def compare(self, agent: int, price: float) -> bool:
-        return report(_TRUTHFUL, float(self.utilities_now[agent]), price)
-
-    def utility(self, agent: int) -> float:
-        return float(self.utilities_now[agent])
+    The feedback mechanism trains on each winner's answer by ``strategy``, the
+    direct-regression baseline on the realized utility itself. A ``random``
+    strategy answers from a stream in query order, so feedback replays it
+    round by round instead.
+    """
+    if config.mechanism == "direct_regression":
+        return won
+    return report(strategy, won, prices)
 
 
 def _synthetic_world(
@@ -201,8 +206,8 @@ def _dataset_world(
     harmed = prepared.label_matrix[draws, sensitivity_index[None, :]]
     utilities = 1.0 - harmed.astype(float)
     # Utilities are deterministic given the drawn example, so the true
-    # expected utility of showing it equals the realized value.
-    return world, utilities.copy(), utilities
+    # expected utility of showing it is the realized value: one array is both.
+    return world, utilities, utilities
 
 
 def exploration_schedule(state: MechanismState, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -265,17 +270,19 @@ def run_single(
         # come from the agent and price streams, whatever the models are.
         drawn_winners, drawn_prices = _explore(state, int(explored.sum()))
         allocated[explored], comparison_prices[explored] = drawn_winners, drawn_prices
-        draws = zip(drawn_winners.tolist(), drawn_prices.tolist())
         training, frozen = np.flatnonzero(explored), np.flatnonzero(~explored)
+        targets = _training_targets(
+            config, _TRUTHFUL, utilities[training, drawn_winners], drawn_prices
+        )
         # An explored round trains only its winner's model: row i of ``kept`` is that model as
         # training round i left it, zeros until it is ready, and the last row is the prior.
         kept = np.zeros((training.size + 1, contexts.shape[2]))
-        oracle = _TruthfulOracle()
-        for i, (ti, draw) in enumerate(zip(training.tolist(), draws)):
-            oracle.utilities_now, round_contexts = utilities[ti], contexts[ti]
+        rounds = zip(training.tolist(), drawn_winners.tolist(), targets.tolist())
+        for i, (ti, winner, target) in enumerate(rounds):
+            round_contexts = contexts[ti]
             estimates[ti] = state.refresh_estimates(round_contexts)
-            record = learned_round(state, round_contexts, oracle, draw)
-            model = state.models[record.allocated_agent]
+            learned_round(state, round_contexts, winner, target)
+            model = state.models[winner]
             if model.sample_count >= model.min_samples:  # train fitted it: not stale
                 kept[i] = model.coefficients
         # Each agent's table: the rows of the training rounds it won, then the prior's.
@@ -402,10 +409,8 @@ def _deviant_arm(
             start = stop
         record = _model_records([model])[0]
     else:
-        if config.mechanism == "direct_regression":
-            targets = utilities[events, deviant]
-        else:
-            targets = report(strategy, utilities[events, deviant], twin["prices"][won])
+        prices = twin["prices"][won]
+        targets = _training_targets(config, strategy, utilities[events, deviant], prices)
         record = _closed_form_replay(own, events, targets, column)
     wins = _wins(column, best, leader, deviant)
     allocated = np.where(wins, deviant, leader)

@@ -12,23 +12,23 @@ Nothing about exploration depends on the models: the coins, and the winner
 and price of every explored round, come from the schedule and the agent and
 price streams, so a run draws all of them before its first round. A model
 changes only in an explored round, so every other round is a second-price
-auction on frozen models. :func:`run_round` plays one explored round, given
-its exploration draw, and trains its winner's model; :func:`exploit_stretch`
-plays many frozen rounds at once, each agent read from a table of the models
-its explored wins left (:func:`frozen_estimates`). The uniform baseline is
-this mechanism at exploration rate 1 and makes the same exploration draw, for
-all of a run's rounds at once.
+auction on frozen models. :func:`run_round` trains one explored round's
+winner on the target its report gave; :func:`exploit_stretch` plays many
+frozen rounds at once, each agent read from a table of the models its
+explored wins left (:func:`frozen_estimates`). The uniform baseline is this
+mechanism at exploration rate 1 and makes the same exploration draw, for all
+of a run's rounds at once.
 
-The mechanism observes agents only through a :class:`RoundOracle`: a yes/no
-comparison query. Realized utilities never enter any allocation, payment, or
-training decision of the feedback mechanism.
+The mechanism observes agents only through their yes/no answers to the
+comparison query, which the driver asks. Realized utilities never enter any
+allocation, payment, or training decision of the feedback mechanism.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,7 +41,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SCHEDULE_KINDS",
     "MechanismState",
-    "RoundOracle",
     "exploit_stretch",
     "exploration_rate",
     "frozen_estimates",
@@ -66,16 +65,12 @@ def exploration_rate(config: ExperimentConfig, t):
     which gives the array of their rates, bit-identical to the rates of the
     rounds one at a time.
     """
-    if not isinstance(t, np.ndarray):
-        if t < 1:
-            raise ValueError(f"round index must be >= 1, got {t}")
-        if t <= config.floor_rounds:
-            return 1.0
-        return min(1.0, _schedule_formula(config, t, math.pow, math.log))
-    if (t < 1).any():
-        raise ValueError(f"round indices must be >= 1, got {t.min()}")
-    rates = np.minimum(1.0, _schedule_formula(config, t, np.float_power, _exact_logs))
-    return np.where(t <= config.floor_rounds, 1.0, rates)
+    rounds = np.asarray(t)
+    if (rounds < 1).any():
+        raise ValueError(f"round indices must be >= 1, got {rounds.min()}")
+    rates = np.minimum(1.0, _schedule_formula(config, rounds))
+    rates = np.where(rounds <= config.floor_rounds, 1.0, rates)
+    return rates if rates.ndim else float(rates)
 
 
 def _exact_logs(rounds: np.ndarray) -> np.ndarray:
@@ -85,18 +80,16 @@ def _exact_logs(rounds: np.ndarray) -> np.ndarray:
     return logs.reshape(rounds.shape)
 
 
-def _schedule_formula(config: ExperimentConfig, t, power, log):
-    # The rate past the floor, before the cap at 1, from one ``power`` and
-    # ``log`` for every kind of ``t``: math's for one round, which numpy's
-    # per-call cost would slow twentyfold, and for arrays np.float_power,
-    # which takes the same pow per element (np.power is off by one ulp on
-    # some rounds), and _exact_logs.
+def _schedule_formula(config: ExperimentConfig, rounds: np.ndarray):
+    # The rate past the floor, before the cap at 1. np.float_power takes C's
+    # pow per element, as Python floats do (np.power is off by one ulp on
+    # some rounds).
     if config.schedule_kind == "constant":
         return config.eta_constant
-    log_factor = config.n_agents * log(t)
+    power, log_factor = np.float_power, config.n_agents * _exact_logs(rounds)
     if config.schedule_kind == "slow":
-        return power(t, -1.0 / 3.0) * power(log_factor, (1.0 + 2.0 * config.epsilon) / 3.0)
-    return power(t, -0.5) * power(log_factor, (1.0 + config.epsilon) / 2.0)
+        return power(rounds, -1.0 / 3.0) * power(log_factor, (1.0 + 2.0 * config.epsilon) / 3.0)
+    return power(rounds, -0.5) * power(log_factor, (1.0 + config.epsilon) / 2.0)
 
 
 def second_price(estimates: np.ndarray):
@@ -137,25 +130,11 @@ def parse_price_distribution(text: str) -> float | None:
     )
 
 
-class RoundOracle(Protocol):
-    """Per-round query interface to the agent population.
-
-    ``compare`` is the only channel the feedback mechanism may use; it hides
-    realized utilities behind a yes/no answer. ``utility`` exposes the
-    realized value directly and exists solely for the exact-value regression
-    baseline.
-    """
-
-    def compare(self, agent: int, price: float) -> bool: ...
-
-    def utility(self, agent: int) -> float: ...
-
-
 @dataclass
 class MechanismState:
     """Mutable cross-round state: one value model per agent and the RNG streams.
 
-    The schedule, training target and price rule are read from ``config``.
+    The schedule and price rule are read from ``config``.
     A run draws one coin per round from the coin stream, by its schedule, and
     one winner and one price per exploration round from the agent and price
     streams, all in one batch each before its first round.
@@ -214,17 +193,15 @@ def _explore(state: MechanismState, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_round(
-    state: MechanismState,
-    contexts: np.ndarray,
-    oracle: RoundOracle,
-    draw: tuple[int, float],
+    state: MechanismState, contexts: np.ndarray, winner: int, target: float
 ) -> RoundRecord:
-    """Play one explored round and train its winner's model, updating ``state`` in place.
+    """Play one explored round: train ``winner``'s model on ``target``, updating ``state``.
 
     ``contexts`` is the (n_agents, dim) block of request features for this
-    round. ``draw`` is the round's exploration draw, its ``(winner, price)``
-    from ``_explore``. No decision reads an estimate, so the round predicts
-    nothing. Returns the round's decisions; ground truth stays with the caller.
+    round. ``winner`` is the round's drawn winner, and ``target`` what its
+    model trains on, which the driver derived from the winner's answer at the
+    drawn price. No decision reads an estimate, so the round predicts
+    nothing. Returns the round's decision; ground truth stays with the caller.
     """
     contexts = np.asarray(contexts, dtype=float)
     n_agents = len(state.models)
@@ -232,14 +209,8 @@ def run_round(
         raise DimensionMismatchError(
             f"contexts have shape {contexts.shape}, expected ({n_agents}, dim)"
         )
-    winner, price = draw
-    answer = bool(oracle.compare(winner, price))
-    if state.config.mechanism == "direct_regression":
-        target = float(oracle.utility(winner))
-    else:
-        target = float(answer)
     state.train(winner, contexts[winner], target)
-    return RoundRecord(allocated_agent=winner, explored=True, report=answer)
+    return RoundRecord(allocated_agent=winner, explored=True)
 
 
 def frozen_estimates(

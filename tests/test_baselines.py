@@ -3,47 +3,16 @@ import pytest
 
 from feedauction.baselines import direct_regression_round, oracle_round, uniform_round
 from feedauction.core import ConfigurationError, derive_stream
-from feedauction.experiment import exploration_schedule, run_metadata, run_single
+from feedauction.experiment import run_metadata, run_single
 from feedauction.config import ExperimentConfig
-from feedauction.mechanism import MechanismState, _explore, run_round
+from feedauction.learner import ValueModel
+from feedauction.mechanism import MechanismState
 from feedauction.metrics import build_series, loglog_tail_slope, welfare_regret
 
 
 def new_state(n_agents, seed, **changes):
     config = ExperimentConfig(n_agents=n_agents, **changes)
     return MechanismState.create(config, 2, seed)
-
-
-def coins(state, rounds):
-    # The explored flags of the first ``rounds`` rounds, from the run's schedule.
-    return exploration_schedule(state, rounds)[1]
-
-
-def explored_draws(state, rounds):
-    # Each explored round's (winner, price) among the first ``rounds``
-    # rounds, drawn in one batch as the driver draws them.
-    winners, prices = _explore(state, int(coins(state, rounds).sum()))
-    return list(zip(winners.tolist(), prices.tolist()))
-
-
-def first_round_draw(state):
-    # Round 1 explores (its rate is floored at 1), so it gets a draw.
-    return explored_draws(state, 1)[0]
-
-
-class CountingOracle:
-    """Answers a fixed comparison rule and counts utility() calls."""
-
-    def __init__(self, utilities):
-        self.utilities = np.asarray(utilities, dtype=float)
-        self.utility_calls = 0
-
-    def compare(self, agent, price):
-        return bool(self.utilities[agent] >= price)
-
-    def utility(self, agent):
-        self.utility_calls += 1
-        return float(self.utilities[agent])
 
 
 class TestOracleRound:
@@ -68,34 +37,48 @@ class TestOracleRound:
         np.testing.assert_array_equal(means[np.arange(50), winners], means.max(axis=1))
 
 
+def ingested_targets(monkeypatch, config):
+    # A run of ``config`` and the target of every sample its models ingested, in order.
+    targets, ingest = [], ValueModel.ingest
+
+    def recorded(model, context, target):
+        targets.append(target)
+        ingest(model, context, target)
+
+    monkeypatch.setattr(ValueModel, "ingest", recorded)
+    return run_single(config, 0, keep_records=False), targets
+
+
 class TestDirectRegressionRound:
     def test_requires_utility_target(self):
         state = new_state(2, 5)  # feedback: trains on the report
         with pytest.raises(ConfigurationError):
-            direct_regression_round(
-                state, np.full((2, 2), 0.5), CountingOracle([0.5, 0.5]), first_round_draw(state)
-            )
+            direct_regression_round(state, np.full((2, 2), 0.5), 0, 0.5)
 
-    def test_trains_on_realized_utility(self):
+    def test_trains_on_realized_utility(self, monkeypatch):
+        # The ingested targets are the explored winners' utilities themselves, not binarized
+        # reports; their model's moment vector is b = sum of target * context.
+        config = ExperimentConfig(n_agents=2, horizon=200, mechanism="direct_regression")
+        run, targets = ingested_targets(monkeypatch, config)
+        explored = np.flatnonzero(run.explored)
+        won = run.utilities[explored, run.allocated[explored]]
+        assert targets == won.tolist()
+        assert not np.isin(won, (0.0, 1.0)).all()
         state = new_state(2, 5, mechanism="direct_regression")
-        oracle = CountingOracle([0.73, 0.4])
-        draw = first_round_draw(state)
-        record = direct_regression_round(state, np.full((2, 2), 0.5), oracle, draw)
-        assert record.explored  # t=1 is floored at full exploration
-        assert oracle.utility_calls == 1
-        model = state.models[record.allocated_agent]
-        assert model.sample_count == 1
-        # The ingested target is the utility itself, not a binarized report:
-        # moment vector b = target * context = utility * [0.5, 0.5].
-        expected = oracle.utilities[record.allocated_agent] * 0.5
-        np.testing.assert_allclose(model.moment, [expected, expected])
+        record = direct_regression_round(state, np.full((2, 2), 0.5), 1, 0.73)
+        assert record.explored and record.allocated_agent == 1
+        assert [model.sample_count for model in state.models] == [0, 1]
+        np.testing.assert_allclose(state.models[1].moment, [0.73 * 0.5] * 2)
 
-    def test_feedback_state_never_reads_utilities(self):
-        state = new_state(2, 5)
-        oracle = CountingOracle([0.73, 0.4])
-        for draw in explored_draws(state, 40):
-            run_round(state, np.full((2, 2), 0.5), oracle, draw)
-        assert oracle.utility_calls == 0
+    def test_feedback_state_never_reads_utilities(self, monkeypatch):
+        # A feedback run trains each explored winner on its answer, float(u >= price), never
+        # on the utility u.
+        run, targets = ingested_targets(monkeypatch, ExperimentConfig(n_agents=2, horizon=200))
+        explored = np.flatnonzero(run.explored)
+        won = run.utilities[explored, run.allocated[explored]]
+        answers = won >= run.comparison_prices[explored]
+        assert targets == answers.astype(float).tolist()
+        assert 0 < answers.sum() < answers.size
 
 
 class TestUniformRound:

@@ -164,21 +164,29 @@ class TestGenDataAndCsvRuns:
         assert main(["run", "--config", config]) == 3
         assert capsys.readouterr().err.startswith("error [data]")
 
-    @pytest.mark.parametrize("parent", ("missing", "a_file"))
+    @pytest.mark.parametrize(
+        "out_name, reason",
+        [
+            ("missing/corpus.csv", "{parent} is not a writable directory"),
+            ("a_file/corpus.csv", "{parent} is not a writable directory"),
+            ("a_directory", "it is a directory"),
+        ],
+        ids=["missing", "a_file", "a_directory"],
+    )
     def test_unwritable_gen_data_out_exits_4_before_generating(
-        self, tmp_path, capsys, monkeypatch, parent
+        self, tmp_path, capsys, monkeypatch, out_name, reason
     ):
         # A bad path fails before the corpus is generated, not after.
         generated = []
         monkeypatch.setattr(cli, "generate_synthetic_dataset", lambda *args: generated.append(args))
         (tmp_path / "a_file").write_text("")
-        out = tmp_path / parent / "corpus.csv"
+        (tmp_path / "a_directory").mkdir()
+        out = tmp_path / out_name
         argv = ["gen-data", "--out", str(out), "--examples", "200000", "--features", "60"]
         assert main(argv) == 4
         captured = capsys.readouterr()
-        assert captured.err == (
-            f"error [io] cannot write {out}: {tmp_path / parent} is not a writable directory\n"
-        )
+        reason = reason.format(parent=out.parent)
+        assert captured.err == f"error [io] cannot write {out}: {reason}\n"
         assert captured.out == "" and generated == []
 
     @pytest.mark.parametrize(

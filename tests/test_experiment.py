@@ -769,6 +769,12 @@ class TestDatasetWorlds:
         assert set(np.unique(run.utilities)) <= {0.0, 1.0}
         np.testing.assert_array_equal(run.utilities, run.true_means)
 
+    def test_true_means_and_utilities_are_one_array(self, prepared):
+        # A drawn example's realized utility is its expected utility, so a csv run keeps one
+        # (rounds, agents) array for both columns.
+        run = run_single(self.toxic_config(), 0, prepared)
+        assert np.shares_memory(run.true_means, run.utilities)
+
     def test_utilities_reflect_label_membership(self, corpus, prepared):
         # Rebuild the harmed matrix directly from the corpus labels and the
         # pool indices the run drew, and compare against the run's utilities.

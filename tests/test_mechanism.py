@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feedauction import experiment
 from feedauction.config import ConfigError, ExperimentConfig
 from feedauction.core import DimensionMismatchError
 from feedauction.experiment import exploration_schedule, run_single
@@ -19,20 +20,6 @@ from feedauction.mechanism import (
     run_round,
     second_price,
 )
-
-
-class ScriptedOracle:
-    """Deterministic comparison answers, decoupled from any utility."""
-
-    def __init__(self, answer_fn, utilities=None):
-        self.answer_fn = answer_fn
-        self.utilities = utilities
-
-    def compare(self, agent, price):
-        return self.answer_fn(agent, price)
-
-    def utility(self, agent):
-        return self.utilities[agent]
 
 
 def schedule(kind, n_agents, **changes):
@@ -353,7 +340,7 @@ class TestExploitStretch:
 
 
 class TestRunRound:
-    """An explored round trains its winner on the winner's report.
+    """An explored round trains its drawn winner on the target the driver derived.
 
     Exploitation is ``second_price`` over ``exploit_stretch``'s estimates,
     each agent's read from the models its explored wins left, which
@@ -366,12 +353,11 @@ class TestRunRound:
         _, draws = explored_draws(state, 1)  # round 1 is floored at full exploration
         winner, price = next(draws)
         before = stream_states(state)
-        oracle = ScriptedOracle(lambda a, c: c < 0.5)
-        record = run_round(state, flat_contexts(3), oracle, (winner, price))
+        record = run_round(state, flat_contexts(3), winner, float(price < 0.5))
         assert record.explored
         assert record.allocated_agent == winner
-        assert record.report == (price < 0.5)
         assert state.models[winner].sample_count == 1
+        np.testing.assert_array_equal(state.models[winner].moment, [float(price < 0.5) * 0.5] * 2)
         untouched = [m.sample_count for i, m in enumerate(state.models) if i != winner]
         assert untouched == [0, 0]
         # The coin and the draw come before the round, which draws nothing.
@@ -386,63 +372,58 @@ class TestRunRound:
                 state.train(agent, context, 1.0)
         predicted = []
         monkeypatch.setattr(ValueModel, "predict", lambda *args: predicted.append(args))
-        oracle = ScriptedOracle(lambda a, c: True)
-        for draw in ((0, 0.2), (2, 0.7), (0, 0.5)):
-            run_round(state, flat_contexts(3), oracle, draw)
+        for winner in (0, 2, 0):
+            run_round(state, flat_contexts(3), winner, 1.0)
         assert predicted == []
         assert [m.sample_count for m in state.models] == [4, 2, 3]
 
     def test_context_shape_validated(self):
         state = new_state(2, 2, 77)
         with pytest.raises(DimensionMismatchError):
-            run_round(state, np.ones((3, 2)), ScriptedOracle(lambda a, c: True), (0, 0.5))
+            run_round(state, np.ones((3, 2)), 0, 1.0)
 
-    def test_decisions_never_read_utilities(self):
+    def test_decisions_never_read_utilities(self, monkeypatch):
         # Two worlds with wildly different utilities but identical scripted
         # answers must produce identical decisions: the only agent channel the
-        # mechanism has is the comparison report. Explored rounds train
-        # through run_round, and the others are auctions on the frozen models
-        # that the explored rounds left.
-        def play(utilities):
-            state = new_state(3, 3, 58)
-            oracle = ScriptedOracle(
-                lambda a, c: (a + int(c * 100)) % 3 == 0, utilities=utilities
-            )
-            contexts = np.random.Generator(np.random.PCG64(4)).dirichlet(
-                np.ones(3), size=(400, 3)
-            )
-            explored, draws = explored_draws(state, 400)
-            events, rows, decisions = [[], [], []], [[], [], []], {}
-            for t in np.flatnonzero(explored).tolist():
-                record = run_round(state, contexts[t], oracle, next(draws))
-                winner = record.allocated_agent
-                events[winner].append(t)
-                rows[winner].append(kept_row(state.models[winner]))
-                decisions[t] = (winner, record.report)
-            frozen = np.flatnonzero(~explored)
-            _, winners, prices = exploit_stretch(tables_of(events, rows, 3), contexts, frozen)
-            decisions.update(zip(frozen.tolist(), zip(winners.tolist(), prices.tolist())))
-            assert frozen.size > 100 and min(map(len, events)) >= 3
-            return [decisions[t] for t in range(400)]
+        # mechanism has is the training target its answers give. Explored
+        # rounds train through run_round, and the others are auctions on the
+        # frozen models that the explored rounds left.
+        def scripted(strategy, won, prices, stream=None):
+            return (np.asarray(prices) * 100).astype(int) % 3 == 0
 
-        assert play([0.01, 0.02, 0.03]) == play([0.99, 0.98, 0.97])
+        monkeypatch.setattr(experiment, "report", scripted)
+        config = schedule("constant", 3, eta_constant=0.3, horizon=400, dim=3)
+
+        def play(level):
+            monkeypatch.setattr(
+                experiment, "utility_from_uniform", lambda means, *_: np.full(means.shape, level)
+            )
+            run = run_single(config, 0, keep_records=False)
+            wins = np.bincount(run.allocated[run.explored], minlength=3)
+            assert (~run.explored).sum() > 100 and wins.min() >= 3
+            assert np.all(run.utilities == level)
+            return [run.allocated, run.comparison_prices, run.estimates, run.final_models]
+
+        one, other = play(0.01), play(0.99)
+        for found, expected in zip(one[:3], other[:3]):
+            np.testing.assert_array_equal(found, expected)
+        assert one[3] == other[3]
 
     def test_paired_seeds_stay_aligned_when_reports_differ(self):
         # The coins and every explored round's winner and price are drawn
         # before round 1, so two runs sharing a master seed explore at the
         # same rounds with the same winners and prices even if every report,
-        # and so every model, differs.
+        # and so every target and model, differs.
         def play(answer):
             state = new_state(3, 2, 99)
-            oracle = ScriptedOracle(lambda a, c: answer)
             explored, draws = explored_draws(state, 300)
             draws = list(draws)
-            for draw in draws:
-                assert run_round(state, flat_contexts(3), oracle, draw).allocated_agent == draw[0]
+            for winner, _ in draws:
+                assert run_round(state, flat_contexts(3), winner, answer).allocated_agent == winner
             return explored, draws, state
 
-        yes_explored, yes_draws, yes_state = play(True)
-        no_explored, no_draws, no_state = play(False)
+        yes_explored, yes_draws, yes_state = play(1.0)
+        no_explored, no_draws, no_state = play(0.0)
         np.testing.assert_array_equal(yes_explored, no_explored)
         assert yes_draws == no_draws
         assert stream_states(yes_state) == stream_states(no_state)
