@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import _IGNORED_KEYS, ConfigError, ExperimentConfig
+from .config import _IGNORED_KEYS, MECHANISMS, ConfigError, ExperimentConfig
 from .core import ConfigurationError
 from .dataio import (
     ConvergenceError,
@@ -197,9 +197,10 @@ _COMPARABLE_EXEMPT = {
 def _ledger_columns(file_path: str) -> tuple[tuple, str, np.ndarray, np.ndarray, np.ndarray, int]:
     # Config signature, mechanism, the winner, welfare and revenue increment
     # columns, and the agent count of one run file; its parsed rows are freed
-    # on return. A ledger missing any of them, naming a winner that is not a
-    # JSON integer in [0, agents.count) or holding an increment that is not a
-    # finite JSON number is a data error.
+    # on return. A ledger missing any of them, whose agents.count is not a JSON
+    # integer >= 1 or whose mechanism is not a known one, naming a winner that
+    # is not a JSON integer in [0, agents.count) or holding an increment that is
+    # not a finite JSON number is a data error.
     metadata, rows = read_run(file_path)
     try:
         echo = metadata["config"]
@@ -210,11 +211,15 @@ def _ledger_columns(file_path: str) -> tuple[tuple, str, np.ndarray, np.ndarray,
         allocated = [row["allocated_agent"] for row in rows]
         welfare = [row["welfare_regret_increment"] for row in rows]
         revenue = [row["revenue_regret_increment"] for row in rows]
-        n_agents = int(echo["agents.count"])
+        n_agents = echo["agents.count"]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
         raise DataError(f"{file_path}: malformed run ledger ({reason})") from None
     # ``type`` rather than ``isinstance``: a JSON true is no agent or number.
+    if type(n_agents) is not int or n_agents < 1:
+        raise DataError(f"{file_path}: agents.count {n_agents!r} is not an integer >= 1")
+    if mechanism not in MECHANISMS:
+        raise DataError(f"{file_path}: mechanism {mechanism!r} is not one of {MECHANISMS}")
     for t, winner in enumerate(allocated, start=1):
         if type(winner) is not int or not 0 <= winner < n_agents:
             raise DataError(

@@ -55,9 +55,10 @@ class RunResult:
     round, else the comparison price) and ``reports`` from its other columns. ``contexts``,
     the world's (rounds, agents, dim) array, is needed only by the ledger; it is ``None`` for
     runs made with ``keep_records=False``. A csv world is gathered into it from its pool only
-    for a run with records. A deviant learned arm's ``true_means``, ``utilities``,
-    ``oracle_second_prices``, ``explored`` and ``eta`` are its truthful twin's, shared by
-    every arm of that twin and read-only; its other columns are its own.
+    for a run with records. A truthful learned run made without records shares its
+    ``true_means``, ``utilities``, ``oracle_second_prices``, ``estimates``, ``explored`` and
+    ``eta`` with its deviant arms, read-only; a deviant arm returns all of them but
+    ``estimates``, which it copies. Every other column, and ``final_models``, is the run's own.
     """
 
     config: ExperimentConfig
@@ -83,10 +84,10 @@ class RunResult:
 
 _TRUTHFUL = Strategy()
 
-# The last truthful learned run made without records, for its deviant arms:
-# read-only copies of its _SHARED columns, its draws, models and contexts (a csv world's pool
-# and draw index, not a gathered world). Every deviant arm returns these columns themselves,
-# but for "estimates", which it copies and writes. The first arm narrows the contexts to its
+# The last truthful learned run made without records, for its deviant arms: its _SHARED
+# columns themselves, made read-only, its draws, models and contexts (a csv world's pool and
+# draw index, not a gathered world). Every deviant arm returns these columns too, but for
+# "estimates", which it copies and writes. The first arm narrows the contexts to its
 # "agent", a (rounds, dim) array, and adds the other agents' best estimate, its index and
 # their second-best estimate per round ("top").
 _TWIN: dict[str, Any] = {}
@@ -233,7 +234,9 @@ def run_single(
 
     ``prepared`` is the embedded corpus a ``data.source=csv`` world draws
     from; sweeps share one across seeds and mechanisms. ``keep_records=False``
-    drops the contexts, which only the ledger reads; bulk sweeps use it. Each
+    drops the contexts, which only the ledger reads; bulk sweeps use it. A
+    truthful learned run without records is cached for its deviant arms, so
+    its shared columns (see :class:`RunResult`) come back read-only. Each
     mechanism decides winners and prices; one assembly settles every run.
     """
     run_seed = derive_seed(config.master_seed, f"run/{seed_index}")
@@ -313,9 +316,9 @@ def run_single(
         _TWIN.update(
             key=(config, seed_index, id(prepared)), prepared=prepared, models=state.models,
             contexts=contexts, winners=drawn_winners, prices=drawn_prices,
-            **{name: getattr(result, name).copy() for name in _SHARED},
+            **{name: getattr(result, name) for name in _SHARED},
         )
-        for name in _SHARED:  # every deviant arm shares them
+        for name in _SHARED:  # the twin and every deviant arm share them
             _TWIN[name].flags.writeable = False
     return result
 

@@ -128,7 +128,10 @@ def per_round_profit(run_truthful, run_deviant, agent: int) -> np.ndarray:
             f"paired runs disagree on seed index: "
             f"{run_truthful.seed_index} != {run_deviant.seed_index}"
         )
-    if not np.array_equal(run_truthful.true_means, run_deviant.true_means):
+    # A deviant arm and its cached twin share one world: nothing to compare.
+    if run_truthful.true_means is not run_deviant.true_means and not np.array_equal(
+        run_truthful.true_means, run_deviant.true_means
+    ):
         raise ValueError("paired runs were not driven by common random numbers")
     return _net_utility_column(run_deviant, agent) - _net_utility_column(run_truthful, agent)
 

@@ -487,6 +487,39 @@ class TestReportCommand:
         assert err.startswith("error [data]")
         assert ledger in err and f"round 2 has {column} {value!r}" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("agents.count", 3.9),
+            ("agents.count", "3"),
+            ("agents.count", True),
+            ("agents.count", 0),
+            ("mechanism", ["feedback"]),
+            ("mechanism", 5),
+            ("mechanism", "a/b"),
+        ],
+        ids=["float", "string", "bool", "zero", "list", "number", "path"],
+    )
+    def test_malformed_metadata_exits_3_before_writing(self, tmp_path, capsys, key, value):
+        # 3.9 and "3" used to be read as 3 agents with exit 0, and true as one agent; the
+        # mechanism names an output file, so ["feedback"] and 5 crashed in a traceback (5
+        # after writing its CSVs) and "a/b" exited 4.
+        config = {"mechanism": "feedback", "agents.count": 3}
+        config[key] = value
+        lines = [
+            {"schema": "feedauction.run.v1", "n_rounds": 1, "config": config},
+            {"t": 1, "allocated_agent": 0, "welfare_regret_increment": 0.0,
+             "revenue_regret_increment": 0.0},
+        ]
+        ledger = tmp_path / "bad_metadata.jsonl"
+        ledger.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        report_dir = tmp_path / "report"
+        assert main(["report", str(ledger), "--out", str(report_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [data]") and err.count("\n") == 1
+        assert str(ledger) in err and f"{key} {value!r}" in err
+        assert not report_dir.exists()
+
     def test_mixed_agent_counts_exit_2_even_when_forced(self, tmp_path, capsys):
         # The per-agent histograms of 3 and 4 agents used to end in a ragged
         # array ValueError and a traceback.

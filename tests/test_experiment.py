@@ -590,11 +590,11 @@ class TestTwinCache:
         assert len(rounds) > 0
 
     def test_mutating_a_returned_run_leaves_later_arms_unchanged(self):
-        # An arm's own columns and the truthful run's are writable copies. The columns an arm
-        # keeps from its twin are the cache's read-only arrays, so writing one fails.
-        own = ("estimates", "allocated", "payments", "comparison_prices", "reports")
+        # A run's own columns are writable. The truthful run's shared columns are the cache's
+        # read-only arrays, and so are those an arm keeps from its twin: writing one fails.
+        own = ("allocated", "payments", "comparison_prices", "reports")
         shared = ("true_means", "utilities", "oracle_second_prices", "explored", "eta")
-        assert sorted(own + shared) == sorted(self.COLUMNS[1:])
+        assert sorted(own + shared + ("estimates",)) == sorted(self.COLUMNS[1:])
 
         def mutate(array):
             if array.dtype == bool:
@@ -606,18 +606,37 @@ class TestTwinCache:
         run_single(small_config(mechanism="oracle"), 0)
         expected = run_single(config, 0)
         truthful = run_single(self.twin(config), 0, keep_records=False)
-        for column in self.COLUMNS[1:]:  # a run without records has no contexts
+        for column in shared + ("estimates",):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(truthful, column)[...] = 0
+        for column in own:
             mutate(getattr(truthful, column))
         truthful.final_models[0]["coefficients"][0] = 9.0
         first = run_single(config, 0, keep_records=False)
         self.assert_same_run(first, expected)
-        for column in own:
+        for column in own + ("estimates",):  # an arm writes its own copy of the estimates
             mutate(getattr(first, column))
         first.final_models[0]["coefficients"][0] = 9.0
         for column in shared:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(first, column)[...] = 0
         self.assert_same_run(run_single(config, 0, keep_records=False), expected)
+
+    @pytest.mark.parametrize("world", ("synthetic", "csv"))
+    def test_a_truthful_run_and_its_arms_share_one_copy_of_each_column(self, world, prepared):
+        # The cache holds the truthful run's own arrays, not copies of them.
+        config = small_config(deviant_index=2, deviant_strategy="inverted")
+        if world == "csv":
+            config = config.replace(data_source="csv", data_path="corpus.csv", pca_components=4)
+        data = prepared if world == "csv" else None
+        truthful = run_single(self.twin(config), 0, data, keep_records=False)
+        arm = run_single(config, 0, data, keep_records=False)
+        for name in experiment._SHARED:
+            assert getattr(truthful, name) is experiment._TWIN[name], name
+            if name != "estimates":
+                assert getattr(arm, name) is getattr(truthful, name), name
+        if world == "csv":  # the world's realized utility is its true mean: one array
+            assert truthful.true_means is truthful.utilities
 
     @pytest.mark.parametrize(
         "change",

@@ -224,6 +224,10 @@ class TestPairedProfit:
         c = run_single(config, 1)
         with pytest.raises(ValueError):
             per_round_profit(a, c, 0)
+        # Same master seed and seed index, another world: only the world check sees it.
+        d = run_single(config.replace(theta_seed=3), 0)
+        with pytest.raises(ValueError, match="not driven by common random numbers"):
+            per_round_profit(a, d, 0)
 
     def test_paired_deviation_runs_share_the_world(self):
         config = ExperimentConfig(
