@@ -22,8 +22,9 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -123,20 +124,61 @@ def load_examples(path: str | Path) -> list[LabeledExample]:
 
 
 def write_examples(path: str | Path, examples: Iterable[LabeledExample]) -> None:
-    """Write a labeled-example CSV in the format ``load_examples`` reads."""
+    """Write a labeled-example CSV in the format ``load_examples`` reads.
+
+    Each row is rendered as one line, with the bytes ``csv.writer`` writes:
+    the id quoted as its minimal quoting does, each feature as ``repr`` of
+    its float, then the six labels. An example the reader would refuse is
+    refused here, as its row is rendered, with a ``ValueError`` naming its
+    index and id: features not a vector as wide as the first example's (at
+    least one), a non-finite feature, or labels other than six flags of 0 or
+    1. The file is written under a temporary name in the same directory and
+    renamed into place, so a refused or failed write leaves no file.
+    """
     examples = list(examples)
     if not examples:
         raise ValueError("nothing to write")
-    n_features = examples[0].features.shape[0]
+    n_features = np.size(examples[0].features)
     header = ["id"] + [f"f{i}" for i in range(n_features)] + list(CATEGORIES)
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for example in examples:
-            row = [example.example_id]
-            row += [repr(float(v)) for v in example.features]
-            row += [str(int(flag)) for flag in example.labels]
-            writer.writerow(row)
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", newline="") as handle:
+            handle.write(",".join(header) + "\r\n")
+            for index, example in enumerate(examples):
+                handle.write(_example_line(index, example, n_features))
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+# Every valid label tuple and its CSV text; True, False and numpy integers
+# look up the same entries as 1 and 0.
+_LABEL_TEXT = {
+    flags: ",".join(map(str, flags)) for flags in product((0, 1), repeat=len(CATEGORIES))
+}
+# The characters for which csv.writer's minimal quoting quotes a field.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+
+
+def _example_line(index: int, example: LabeledExample, n_features: int) -> str:
+    features = np.asarray(example.features, dtype=float)
+    values = ",".join(map(repr, features.tolist()))
+    labels = _LABEL_TEXT.get(tuple(example.labels))
+    if not n_features:
+        problem = "no features"
+    elif features.shape != (n_features,):
+        problem = f"features of shape {features.shape}, expected ({n_features},)"
+    elif "n" in values:  # of a float's reprs, only nan, inf and -inf hold an "n"
+        problem = "a non-finite feature"
+    elif labels is None:
+        problem = f"labels {example.labels!r}, expected {len(CATEGORIES)} flags of 0 or 1"
+    else:
+        example_id = example.example_id
+        if _NEEDS_QUOTES(example_id):
+            example_id = '"' + example_id.replace('"', '""') + '"'
+        return f"{example_id},{values},{labels}\r\n"
+    raise ValueError(f"example {index} (id {example.example_id!r}) has {problem}")
 
 
 # Fixed internal seed for power-iteration start vectors: fitting the same
@@ -236,6 +278,7 @@ def pca_fit(
     basis = np.empty((n_components, dim))
     variances = np.empty(n_components)
     rows = np.empty((_BLOCK_STEPS + 1, dim))
+    steps = list(zip(rows[:-1], rows[1:]))  # (source, target) row views, built once
     for j in range(n_components):
         earlier = basis[:j]
         vector = rng.standard_normal(dim)
@@ -254,8 +297,8 @@ def pca_fit(
         while variance is None and taken < max_iter:
             length = min(_BLOCK_STEPS, max_iter - taken)
             rows[0] = vector
-            for i in range(length):
-                advance(rows[i], out=rows[i + 1])
+            for source, target in steps[:length]:
+                advance(source, out=target)
             norms = _row_norms(rows[: length + 1])
             # The block is cut at its first zero step (an image norm of at
             # most 1e-15 * scale, unscaled) or where an iterate falls below
@@ -370,12 +413,8 @@ def generate_synthetic_dataset(n_examples: int, feature_dim: int, seed: int) -> 
     features = rng.standard_normal((n_examples, feature_dim))
     features += _SIGNAL_SCALE * (labels @ directions)
     return [
-        LabeledExample(
-            example_id=f"ex{i:06d}",
-            features=features[i],
-            labels=tuple(int(v) for v in labels[i]),
-        )
-        for i in range(n_examples)
+        LabeledExample(example_id=f"ex{i:06d}", features=row, labels=tuple(flags))
+        for i, (row, flags) in enumerate(zip(features, labels.tolist()))
     ]
 
 

@@ -1,25 +1,42 @@
 """Independent oracles shared by the test modules.
 
-These deliberately avoid the library's own code paths: the Jacobi
-eigensolver checks the power-iteration PCA's variances, the per-component
-power iteration checks its steps, the dense least-squares solver
-checks the incremental sufficient-statistics fit, and the per-round loops
+These deliberately avoid the library's own code paths: ``csv.writer``
+checks the bytes of the corpus writer, the Jacobi eigensolver checks the
+power-iteration PCA's variances, the per-component power iteration checks
+its steps, the dense least-squares solver checks the incremental
+sufficient-statistics fit, and the per-round loops
 check the engine that plays all of a run's frozen rounds at once, each agent
 read from a table of the models its training rounds left, and the baselines
 that decide a whole run in one call.
 """
 
+import csv
+
 import numpy as np
 
 from feedauction.agents import Strategy, report
 from feedauction.core import derive_stream
-from feedauction.dataio import ConvergenceError
+from feedauction.dataio import CATEGORIES, ConvergenceError
 from feedauction.mechanism import (
     MechanismState,
     exploration_rate,
     parse_price_distribution,
     second_price,
 )
+
+
+def write_examples_reference(path, examples) -> None:
+    """Write a labeled-example CSV through ``csv.writer``, one field at a time."""
+    n_features = examples[0].features.shape[0]
+    header = ["id"] + [f"f{i}" for i in range(n_features)] + list(CATEGORIES)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for example in examples:
+            row = [example.example_id]
+            row += [repr(float(v)) for v in example.features]
+            row += [str(int(flag)) for flag in example.labels]
+            writer.writerow(row)
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, sweeps: int = 100, tol: float = 1e-13) -> np.ndarray:

@@ -13,6 +13,7 @@ from feedauction.core import ConfigurationError, DimensionMismatchError
 from feedauction.dataio import (
     ConvergenceError,
     FeatureScaler,
+    LabeledExample,
     ParseError,
     PcaModel,
     generate_synthetic_dataset,
@@ -26,7 +27,7 @@ from feedauction.dataio import (
 from feedauction.experiment import run_metadata, run_single
 from feedauction.metrics import build_series
 
-from helpers import jacobi_eigenvalues, power_iteration_reference
+from helpers import jacobi_eigenvalues, power_iteration_reference, write_examples_reference
 
 
 def write_csv(path, text):
@@ -92,6 +93,82 @@ class TestLoadExamples:
         bad = GOOD_CSV.replace("a,0.5,-1.25,1", "a,0.5,-1.25,2")
         with pytest.raises(ParseError, match="line 2.*toxic"):
             load_examples(write_csv(tmp_path / "label.csv", bad))
+
+
+def hand_made_examples():
+    # Ids that csv.writer quotes or keeps as they are, and feature and label
+    # values that take the writer's conversions.
+    ids = ["a,b", 'say "hi"', "cr\rhere", "line\nbreak", " leading", "", "plain", '\r\n,"']
+    rng = np.random.default_rng(11)
+    examples = [
+        LabeledExample(example_id, rng.standard_normal(4) * 10.0 ** rng.integers(-300, 300, 4),
+                       tuple(int(v) for v in rng.integers(0, 2, 6)))
+        for example_id in ids
+    ]
+    examples.append(LabeledExample("edges", np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1]),
+                                   (True, False, True, False, False, True)))
+    examples.append(LabeledExample("float32", np.array([0.1, -2.5, 3.0, 1e-7], dtype=np.float32),
+                                   tuple(np.array([1, 0, 0, 1, 0, 0]))))
+    examples.append(LabeledExample("integers", np.array([1, -2, 0, 7]), (0, 0, 0, 0, 0, 0)))
+    return examples
+
+
+def spoiled(index, **changes):
+    examples = [
+        LabeledExample(f"e{i}", np.arange(4.0) + i, (0, 1, 0, 0, 0, 1)) for i in range(4)
+    ]
+    examples[index] = dataclasses.replace(examples[index], **changes)
+    return examples
+
+
+class TestWriteExamples:
+    @pytest.mark.parametrize(
+        "make", [lambda: generate_synthetic_dataset(200, 8, 5), hand_made_examples],
+        ids=["generated", "hand-made"],
+    )
+    def test_writes_the_bytes_of_csv_writer_and_reads_back(self, tmp_path, make):
+        examples = make()
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        write_examples(ours, examples)
+        write_examples_reference(reference, examples)
+        assert ours.read_bytes() == reference.read_bytes()
+        loaded = load_examples(ours)
+        assert len(loaded) == len(examples)
+        for original, copy in zip(examples, loaded):
+            assert copy.example_id == original.example_id
+            assert copy.features.tobytes() == np.asarray(original.features, dtype=float).tobytes()
+            assert copy.labels == tuple(int(flag) for flag in original.labels)
+
+    @pytest.mark.parametrize(
+        "examples, refusal",
+        [
+            (spoiled(2, features=np.arange(3.0)), r"example 2 \(id 'e2'\) has features of shape \(3,\)"),
+            (spoiled(2, labels=(0, 2, 0, 0, 0, 1)), r"example 2 \(id 'e2'\) has labels"),
+            (spoiled(2, labels=(0, 1, 0, 0, 0)), r"example 2 \(id 'e2'\) has labels"),
+            (spoiled(2, features=np.array([0.0, np.nan, 2.0, 3.0])),
+             r"example 2 \(id 'e2'\) has a non-finite feature"),
+            (spoiled(0, features=np.empty(0)), r"example 0 \(id 'e0'\) has no features"),
+        ],
+        ids=["ragged", "label-2", "five-labels", "nan-feature", "no-features"],
+    )
+    def test_refuses_what_its_reader_refuses_and_leaves_no_file(self, tmp_path, examples, refusal):
+        fresh = tmp_path / "fresh.csv"
+        with pytest.raises(ValueError, match=refusal):
+            write_examples(fresh, examples)
+        assert list(tmp_path.iterdir()) == []
+
+        kept = tmp_path / "kept.csv"
+        write_examples(kept, spoiled(0))
+        before = kept.read_bytes()
+        with pytest.raises(ValueError, match=refusal):
+            write_examples(kept, examples)
+        assert kept.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [kept]
+
+        # csv.writer writes the same examples, and the reader refuses the file.
+        write_examples_reference(fresh, examples)
+        with pytest.raises(ParseError):
+            load_examples(fresh)
 
 
 class TestPca:
@@ -374,6 +451,9 @@ class TestSyntheticDataset:
         assert len(a) == 50
         assert a[0].example_id == "ex000000"
         assert a[0].features.shape == (8,)
+        for example in a:  # plain ints, which the corpus writer prints as they are
+            assert type(example.labels) is tuple and len(example.labels) == 6
+            assert all(type(flag) is int for flag in example.labels)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.features, y.features)
             assert x.labels == y.labels
